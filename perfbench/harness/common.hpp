@@ -43,8 +43,6 @@ struct RunArgs {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool traced = false;
-  /// Set-up repetitions; the reported set-up time is their median.
-  int setup_reps = 7;
   std::string spans_path;  ///< traced runs write their spans here
   CpuTimes cpu_at_start;   ///< for the share of the run the host stole
 };
@@ -193,15 +191,18 @@ std::vector<double> closed_loop(double seconds, One&& one) {
   return results;
 }
 
-/// Runs `setup` args.setup_reps times, recording each wall time, and
-/// returns the last set-up's state.
+/// Set-up repetitions per run; the reported set-up time is their median.
+inline constexpr int kSetupReps = 7;
+
+/// Runs `setup` kSetupReps times, recording each wall time, and returns
+/// the last set-up's state.
 template <typename Setup>
-auto repeated_setup(const RunArgs& args, RunOutput& out, Setup&& setup) {
+auto repeated_setup(RunOutput& out, Setup&& setup) {
   for (int rep = 1;; ++rep) {
     const std::int64_t start = now_ns();
     auto state = setup();
     out.setup_s.push_back(static_cast<double>(now_ns() - start) / 1e9);
-    if (rep >= args.setup_reps) return state;
+    if (rep >= kSetupReps) return state;
   }
 }
 

@@ -160,7 +160,7 @@ fr::core::PlannerResult traced_plan(const State& s, const Pair& pair, Tracer& tr
 
 void run_exact_plan(const RunArgs& args, RunOutput& out, Tracer* tracer) {
   out.work_unit = "plans";
-  const State state = repeated_setup(args, out, [&] {
+  const State state = repeated_setup(out, [&] {
     State s = make_state(args.seed);
     // Warm-up: grows the pool to the build threads and runs one
     // discarded plan.

@@ -405,7 +405,7 @@ class TracedFleet {
 void run_fleet_churn(const RunArgs& args, RunOutput& out, Tracer* tracer) {
   out.work_unit = "packets offered";
   std::vector<double> generate_ms;
-  const State state = repeated_setup(args, out, [&] {
+  const State state = repeated_setup(out, [&] {
     const std::int64_t start = now_ns();
     State s = make_state(args.seed);
     generate_ms.push_back(ns_to_ms(now_ns() - start));

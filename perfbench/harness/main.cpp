@@ -180,7 +180,7 @@ namespace {
 
 int usage() {
   std::cerr << "usage: flowrank_perfbench --workload NAME --seed N --seconds S "
-               "--trace 0|1 --out FILE [--spans FILE] [--setup-reps K]\n"
+               "--trace 0|1 --out FILE [--spans FILE]\n"
                "       flowrank_perfbench --self-test\n";
   return 2;
 }
@@ -218,8 +218,6 @@ int main(int argc, char** argv) {
       out_path = value;
     } else if (flag == "--spans") {
       args.spans_path = value;
-    } else if (flag == "--setup-reps") {
-      args.setup_reps = std::max(1, std::stoi(value));
     } else {
       return usage();
     }

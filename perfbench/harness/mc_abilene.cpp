@@ -179,7 +179,7 @@ struct State {
 void run_mc_abilene(const RunArgs& args, RunOutput& out, Tracer* tracer) {
   out.work_unit = "binomial draws";
   std::vector<double> generate_ms;
-  const State state = repeated_setup(args, out, [&] {
+  const State state = repeated_setup(out, [&] {
     State s;
     const std::int64_t start = now_ns();
     s.trace = make_trace(args.seed);

@@ -107,7 +107,8 @@ def end_to_end(result):
         "ok_frac": (1.0 - stats.failed_frac(result["attempted"], result["failed"]), "frac"),
     }
     notes = {"results": len(r), "tail_percentile": tail_pct,
-             "setup_reps": len(result["setup_s"]), "work_unit": result["work_unit"],
+             "setup_reps": len(result["setup_s"]), "setup_cold_s": result["setup_s"][0],
+             "work_unit": result["work_unit"],
              "failed_frac": stats.failed_frac(result["attempted"], result["failed"])}
     return metrics, notes
 
@@ -128,7 +129,8 @@ def checks_ok(result):
 
 def print_end_to_end(workload, metrics, notes):
     print(f"[{workload}] {notes['results']} results, tail = p{notes['tail_percentile']:.1f}, "
-          f"setup = median of {notes['setup_reps']}, work unit = {notes['work_unit']}, "
+          f"setup = median of {notes['setup_reps']} (first, cold: "
+          f"{notes['setup_cold_s']:.6g} s), work unit = {notes['work_unit']}, "
           f"failed_frac = {notes['failed_frac']:.6g}")
     for name, (value, unit) in metrics.items():
         print(f"  {name:<16} {value:14.6g} {unit}")
@@ -157,9 +159,10 @@ def one_run(binary, workload, seed, seconds, traced):
             print(stamp_line(result))
         metrics = summarize.summarize(result, summarize.load_spans(spans_path))
         os.remove(spans_path)
-        lines, equal = summarize.report_lines(result, metrics)
+        lines, equal, adds_up = summarize.report_lines(result, metrics)
         print("\n".join(lines))
-        correct = checks_ok(result) and equal and result["failed"] == 0 and correct
+        correct = (checks_ok(result) and equal and adds_up and result["failed"] == 0
+                   and correct)
         attempted += result["attempted"]
         failed += result["failed"]
         per_layer.update(metrics)
@@ -191,7 +194,7 @@ def steadiness(binary, workload, runs, seconds, first_seed):
     for k, vs in values.items():
         q1, q2, q3, spread = stats.quartile_spread(vs)
         bound = bounds.get(k)
-        ok = bound is None or k == "setup_s" or spread <= bound / 3
+        ok = bound is None or spread <= bound / 3
         steady &= ok
         print(f"  {k:<16} median {q2:12.6g}  q1 {q1:12.6g}  q3 {q3:12.6g}  "
               f"spread {spread:7.4f}  bound {bound}  {'ok' if ok else 'WIDE'}")

@@ -36,6 +36,14 @@ def failed_frac(attempted, failed):
     return failed / attempted
 
 
+def adds_up(blocking, untraced, overhead, glue=0.05):
+    """Whether the blocking path's layer times add up to the untraced
+    result time: within the tracing overhead, plus a `glue` share of the
+    result for the driver's own code between spans and the noise of the
+    two medians the overhead is made of."""
+    return abs(blocking - untraced) <= abs(overhead) + glue * untraced
+
+
 def quartile_spread(values):
     """(q1, median, q3, (q3 - q1) / median) as statistics.quantiles gives
     the quartiles."""

@@ -129,7 +129,8 @@ def summarize(result, spans):
             task_max.append(max(tasks) if tasks else 0)
         m["exec.task_ms.max"] = (stats.median(task_max) / 1e6, "ms")
     elif wl == "exact_plan":
-        m["core.contexts_built"] = (counters["core.probes"], "count")
+        # Every probe builds one context, so this is also the number of
+        # contexts built per plan.
         m["core.probes_per_plan"] = (counters["core.probes"] / counters["core.plans"],
                                      "count")
         build_ms = sum(durations("core.context_build")) / 1e6
@@ -147,7 +148,9 @@ def summarize(result, spans):
 
 
 def report_lines(result, metrics):
-    """Human-readable summary, including the two traced-run verdicts."""
+    """Human-readable summary and the two traced-run verdicts: whether the
+    replica outputs equal the untraced outputs, and whether the blocking
+    path's layers add up to the untraced result time."""
     wl = result["workload"]
     untraced = stats.median(result["results_ms"])
     overhead = metrics[f"{wl}.tracing.overhead_ms"][0]
@@ -161,16 +164,12 @@ def report_lines(result, metrics):
                  f"{'PASS' if equal else 'FAIL'} "
                  f"({result['replica_compared']} compared, "
                  f"{result['replica_mismatched']} differ)")
-    # Layer times on the blocking path must add up to the untraced result
-    # time within the tracing overhead, plus 5% for the driver's own glue
-    # between spans and the noise of the two medians the overhead is.
-    gap = abs(blocking - untraced)
-    slack = abs(overhead) + 0.05 * untraced
+    adds_up = stats.adds_up(blocking, untraced, overhead)
     lines.append(f"  blocking-path layers sum to result_ms.p50 within overhead: "
-                 f"{'PASS' if gap <= slack else 'FAIL'} "
+                 f"{'PASS' if adds_up else 'FAIL'} "
                  f"(sum {blocking:.3f} ms = {blocking / untraced:.3f} x {untraced:.3f} ms, "
                  f"overhead {overhead:.3f} ms)")
-    return lines, equal
+    return lines, equal, adds_up
 
 
 def main(argv):
@@ -180,9 +179,9 @@ def main(argv):
     with open(argv[1]) as f:
         result = json.load(f)
     metrics = summarize(result, load_spans(argv[2]))
-    lines, equal = report_lines(result, metrics)
+    lines, equal, adds_up = report_lines(result, metrics)
     print("\n".join(lines))
-    return 0 if equal else 1
+    return 0 if equal and adds_up else 1
 
 
 if __name__ == "__main__":

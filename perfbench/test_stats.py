@@ -1,5 +1,5 @@
 """Tests of the benchmark's own maths: the tail percentile, self time by
-subtracting child spans, and failed_frac.
+subtracting child spans, failed_frac and the blocking-path check.
 
     python3 -m unittest discover -s perfbench -p 'test_*.py'
 """
@@ -90,6 +90,17 @@ class FailedFracTest(unittest.TestCase):
         for attempted, failed in ((0, 0), (10, 11), (10, -1)):
             with self.assertRaises(ValueError):
                 stats.failed_frac(attempted, failed)
+
+
+class AddsUpTest(unittest.TestCase):
+    def test_within_overhead_plus_glue(self):
+        # 5 ms overhead + 5% of 100 ms: a gap of up to 10 ms passes.
+        self.assertTrue(stats.adds_up(110.0, 100.0, 5.0))
+        self.assertTrue(stats.adds_up(90.0, 100.0, -5.0))
+
+    def test_spans_missing_part_of_a_result_fail(self):
+        self.assertFalse(stats.adds_up(50.0, 100.0, 5.0))
+        self.assertFalse(stats.adds_up(111.0, 100.0, 5.0))
 
 
 class SpreadTest(unittest.TestCase):
