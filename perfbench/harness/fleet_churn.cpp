@@ -5,6 +5,7 @@
 // one merged window, timed between window callbacks. Work unit = offered
 // packets. The injected channel faults are input, not failures.
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,11 +34,15 @@ namespace {
 
 namespace fr = flowrank;
 
-// scenarios/churn_stress.scn's population (800 live 5-tuples, 40
-// replaced per second, 12 packets and 0.8 s per flow, 600 flows/s) over
-// a 120 s trace, cut into 10 s windows.
+// scenarios/churn_stress.scn's population (12 packets and 0.8 s per
+// flow) scaled up 8x: 6400 live 5-tuples, 320 replaced per second, 4800
+// flows/s, over a 120 s trace cut into 10 s windows. The scaling keeps
+// the share of new keys per window and makes a window about 0.25 s of
+// work. The tail has 10 results beyond it, so only a host stall of more
+// than two seconds reaches it.
 constexpr double kDurationS = 120.0;
 constexpr double kWindowS = 10.0;
+constexpr double kScale = 8.0;
 constexpr double kRate = 0.2;
 constexpr std::size_t kShards = 2;
 
@@ -49,9 +54,9 @@ struct State {
 State make_state(std::uint64_t workload_seed) {
   fr::trace::FlowChurnConfig churn;
   churn.duration_s = kDurationS;
-  churn.population = 800;
-  churn.churn_per_s = 40.0;
-  churn.flow_rate_per_s = 600.0;
+  churn.population = static_cast<std::size_t>(800 * kScale);
+  churn.churn_per_s = 40.0 * kScale;
+  churn.flow_rate_per_s = 600.0 * kScale;
   churn.mean_packets = 12.0;
   churn.mean_duration_s = 0.8;
   churn.tcp_fraction = 0.9;
@@ -411,11 +416,10 @@ void run_fleet_churn(const RunArgs& args, RunOutput& out, Tracer* tracer) {
     generate_ms.push_back(ns_to_ms(now_ns() - start));
     // Warm-up: grows the pool to the shard workers and runs one
     // discarded pass over the first windows of the trace.
-    fr::trace::FlowTrace head = s.trace;
+    fr::trace::FlowTrace head{s.trace.config, {}};
     head.config.duration_s = 2 * kWindowS;
-    std::erase_if(head.flows, [](const fr::packet::FlowRecord& f) {
-      return f.start_s + f.duration_s >= 2 * kWindowS;
-    });
+    std::copy_if(s.trace.flows.begin(), s.trace.flows.end(), std::back_inserter(head.flows),
+                 [](const fr::packet::FlowRecord& f) { return f.end_s() < 2 * kWindowS; });
     (void)fr::agg::run_fleet(head, s.config, {});
     return s;
   });

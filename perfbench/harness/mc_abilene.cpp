@@ -23,9 +23,10 @@ namespace {
 namespace fr = flowrank;
 
 // scenarios/figures/fig16_sim_ranking_abilene.spec at its first bin size
-// (60 s), with the trace cut from 900 s to one bin so that a replicate
-// takes ~0.1 s and one run holds about a hundred of them.
-constexpr double kDurationS = 60.0;
+// (60 s), with the trace cut from 900 s to two bins so that a replicate
+// takes ~0.2 s. The tail has 10 results beyond it, so only a host stall
+// of about two seconds reaches it.
+constexpr double kDurationS = 120.0;
 constexpr double kFlowRateScale = 0.125;
 constexpr double kBinS = 60.0;
 constexpr std::size_t kTopT = 10;

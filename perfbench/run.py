@@ -4,7 +4,7 @@
 One run of one workload (the benchmark contract; the last stdout line is
 the JSON result):
 
-    python3 perfbench/run.py --workload monitor_sprint --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload monitor_sprint --seed 1 --seconds 30 --trace 0
 
 Every end-to-end metric of every workload, with units:
 
@@ -150,11 +150,12 @@ def one_run(binary, workload, seed, seconds, traced):
 
     # A traced run covers all four workloads (the requested one first), so
     # that every per-layer metric is measured in every traced run. Each
-    # gets half the run time, split between its untraced and traced phase.
+    # gets a quarter of the run time, split between its untraced and
+    # traced phase, so a traced run measures as long as an untraced one.
     order = [workload] + [w for w in WORKLOADS if w != workload]
     per_layer, correct, attempted, failed = {}, True, 0, 0
     for w in order:
-        result, spans_path = run_harness(binary, w, seed, seconds / 2, True)
+        result, spans_path = run_harness(binary, w, seed, seconds / 4, True)
         if w == workload:
             print(stamp_line(result))
         metrics = summarize.summarize(result, summarize.load_spans(spans_path))
@@ -213,7 +214,7 @@ def main():
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--all", action="store_true", help="every workload, end to end")
     parser.add_argument("--steadiness", action="store_true")
