@@ -39,12 +39,17 @@ inline void print_header(const std::string& figure, const std::string& what) {
   std::cout << "# " << figure << " — " << what << "\n";
 }
 
-inline void print_verdict(const std::string& claim, bool holds,
+/// Prints one claim's verdict block and returns `holds`, so a driver can
+/// fail on any DEVIATION.
+inline bool print_verdict(const std::string& claim, bool holds,
                           const std::string& measured) {
   std::cout << "paper claim : " << claim << "\n";
   std::cout << "measured    : " << measured << "\n";
-  std::cout << "verdict     : " << (holds ? "SHAPE REPRODUCED" : "DEVIATION (see EXPERIMENTS.md)")
+  std::cout << "verdict     : "
+            << (holds ? "SHAPE REPRODUCED"
+                      : "DEVIATION (see scenarios/figures/README.md, \"Model fidelity\")")
             << "\n\n";
+  return holds;
 }
 
 }  // namespace bench

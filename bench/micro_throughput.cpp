@@ -2,23 +2,18 @@
 // reports qualitatively — exact discrete model ("hours") vs the
 // Gaussian/continuous evaluation ("few seconds"), here measured directly.
 //
-// The BM_Ingest* group is the headline pair for the batching work: the
-// seed per-packet path (virtual sampler call constructing a distribution
-// per packet + unordered_map probe per packet, frozen in
-// legacy_baseline.hpp) against the batched path (skip-based sampler
-// select() + flat open-addressing FlowTable::add_batch()). Run via
+// BM_IngestBatchPath is the headline row for the batching work: the
+// skip-based sampler select() plus flat open-addressing
+// FlowTable::add_batch(). Run via
 // `cmake --build build --target bench-json` to refresh BENCH_micro.json.
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <random>
 #include <span>
-#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
-
-#include "legacy_baseline.hpp"
 
 #include "flowrank/agg/flow_summary.hpp"
 #include "flowrank/core/discrete_context.hpp"
@@ -85,14 +80,6 @@ void BM_MisrankingExact(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MisrankingExact)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_MisrankingExactSeedPath(benchmark::State& state) {
-  const auto size = state.range(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::legacy_misranking_exact(size, size + 50, 0.01));
-  }
-}
-BENCHMARK(BM_MisrankingExactSeedPath)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_MisrankingGaussian(benchmark::State& state) {
   for (auto _ : state) {
@@ -224,18 +211,6 @@ void BM_FlowTableAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableAdd);
 
-void BM_FlowTableAddLegacy(benchmark::State& state) {
-  bench::LegacyFlowTable table({flowrank::packet::FlowDefinition::kFiveTuple, 0});
-  flowrank::packet::PacketRecord pkt;
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    pkt.tuple.src_ip = i++ % 65536;  // 64K concurrent flows
-    table.add(pkt);
-  }
-  state.counters["flows"] = static_cast<double>(table.size());
-}
-BENCHMARK(BM_FlowTableAddLegacy);
-
 // --- multi-vantage aggregation: parse + invert + union fold ------------------
 
 /// The aggregator's per-window merge path: parse each agent's serialized
@@ -287,7 +262,7 @@ void BM_SummaryMergeUnion(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryMergeUnion)->Arg(0)->Arg(256)->Unit(benchmark::kMillisecond);
 
-// --- ingest pipeline: seed per-packet path vs batched path -------------------
+// --- ingest pipeline: batched path -------------------------------------------
 
 /// Synthesizes a measurement interval of packets with a realistic
 /// flow-popularity skew (a few heavy hitters over a long tail of small
@@ -314,30 +289,10 @@ std::vector<flowrank::packet::PacketRecord> make_ingest_batch(std::size_t count)
 constexpr double kIngestRate = 0.01;
 constexpr std::size_t kIngestPackets = 1 << 19;
 
-// Both ingest benchmarks measure the steady state of a long-running
+// The ingest benchmarks measure the steady state of a long-running
 // monitor: tables are built once and clear()ed at each measurement
 // interval (the paper's "memory is cleared"), so the timed region is
 // classification work, not allocator churn for the table shell itself.
-
-void BM_IngestSeedPath(benchmark::State& state) {
-  const auto packets = make_ingest_batch(kIngestPackets);
-  bench::LegacyBernoulli sampler(kIngestRate, 1);
-  bench::LegacyFlowTable truth({flowrank::packet::FlowDefinition::kFiveTuple, 0});
-  bench::LegacyFlowTable sampled({flowrank::packet::FlowDefinition::kFiveTuple, 0});
-  for (auto _ : state) {
-    truth.clear();
-    sampled.clear();
-    for (const auto& pkt : packets) {
-      truth.add(pkt);
-      if (sampler.offer(pkt)) sampled.add(pkt);
-    }
-    benchmark::DoNotOptimize(truth.size() + sampled.size());
-  }
-  state.counters["flows"] = static_cast<double>(truth.size());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(packets.size()));
-}
-BENCHMARK(BM_IngestSeedPath)->Unit(benchmark::kMillisecond);
 
 void BM_IngestBatchPath(benchmark::State& state) {
   const auto packets = make_ingest_batch(kIngestPackets);
@@ -346,8 +301,7 @@ void BM_IngestBatchPath(benchmark::State& state) {
   selected.reserve(batch_size);
   flowrank::sampler::BernoulliSampler sampler(kIngestRate, 1);
   // Pre-sized for the expected concurrent-flow population, as a production
-  // monitor would be (Options::initial_capacity exists for exactly this;
-  // the node-based seed path has no equivalent lever).
+  // monitor would be (Options::initial_capacity exists for exactly this).
   flowrank::flowtable::FlowTable truth(
       {flowrank::packet::FlowDefinition::kFiveTuple, 0, 1 << 19});
   flowrank::flowtable::FlowTable sampled(
@@ -371,7 +325,7 @@ void BM_IngestBatchPath(benchmark::State& state) {
 BENCHMARK(BM_IngestBatchPath)->Unit(benchmark::kMillisecond);
 
 // Sharded ingest scaling: the same truth + sampled workload as
-// BM_Ingest{Seed,Batch}Path pushed through ingest::ShardedPipeline at 1,
+// BM_IngestBatchPath pushed through ingest::ShardedPipeline at 1,
 // 2 and 4 shards, in steady state: one long-lived pipeline, one
 // measurement interval per benchmark iteration (timestamps advance one
 // bin per iteration, so every shard table is flushed and clear()ed
@@ -379,9 +333,8 @@ BENCHMARK(BM_IngestBatchPath)->Unit(benchmark::kMillisecond);
 // consumed by a streaming on_shard_bin callback so memory stays bounded.
 // Rewriting the interval's timestamps is packet-source work the inline
 // benchmarks don't pay, so it sits outside the timed region. On a
-// single-vCPU runner the shard counts time-slice one core, so the column
-// to compare against is the per-packet seed path (BM_IngestSeedPath); on
-// a multi-core host the shard sweep shows the parallel speedup directly.
+// single-vCPU runner the shard counts time-slice one core; on a
+// multi-core host the shard sweep shows the parallel speedup directly.
 void BM_ShardedIngest(benchmark::State& state) {
   const auto packets = make_ingest_batch(kIngestPackets);
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -513,14 +466,9 @@ BENCHMARK(BM_ShortPipelinesSpawn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The hash-once kernel behind the ring pipeline: one FlowKeyHash per
 // packet, reused for shard selection, table probing and hash-threshold
-// sampling. One row per compiled-in kernel (registered from main below,
-// since availability is a runtime question) — all rows are bit-identical
-// in output, so the deltas are pure kernel speed. This measurement is
-// what sets the dispatch default in hash_batch.cpp: on x86-64 the SSE2
-// kernel's emulated 64-bit lane multiplies lose to scalar imul, so
-// hash_batch() runs the scalar loop and the vector rows document why.
-void BM_HashBatch(benchmark::State& state,
-                  flowrank::flowtable::HashBatchImpl impl) {
+// sampling. The row keeps its historical "/scalar" name so it lines up
+// with the committed BENCH_micro.json baseline.
+void BM_HashBatch(benchmark::State& state) {
   constexpr std::size_t kKeys = 1 << 16;
   std::vector<flowrank::packet::FlowKey> keys(kKeys);
   auto engine = flowrank::util::make_engine(11);
@@ -531,29 +479,14 @@ void BM_HashBatch(benchmark::State& state,
   }
   std::vector<std::uint64_t> hashes(kKeys);
   for (auto _ : state) {
-    flowrank::flowtable::hash_batch_with(impl, keys, /*salt=*/0, hashes);
+    flowrank::flowtable::hash_batch(keys, /*salt=*/0, hashes);
     benchmark::DoNotOptimize(hashes.data());
   }
-  state.SetLabel(std::string(flowrank::flowtable::hash_batch_impl_name(impl)));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kKeys));
 }
 
-// One BM_HashBatch row per kernel this binary can run, e.g.
-// BM_HashBatch/scalar and BM_HashBatch/sse2 on x86-64. The row whose
-// label matches hash_batch_impl_name(hash_batch_impl()) is the one the
-// ingest path actually uses.
-void register_hash_batch_benchmarks() {
-  using flowrank::flowtable::HashBatchImpl;
-  for (const auto impl :
-       {HashBatchImpl::kScalar, HashBatchImpl::kSse2, HashBatchImpl::kNeon}) {
-    if (!flowrank::flowtable::hash_batch_impl_available(impl)) continue;
-    const std::string name =
-        "BM_HashBatch/" +
-        std::string(flowrank::flowtable::hash_batch_impl_name(impl));
-    benchmark::RegisterBenchmark(name.c_str(), &BM_HashBatch, impl);
-  }
-}
+BENCHMARK(BM_HashBatch)->Name("BM_HashBatch/scalar");
 
 void BM_SamplerSelectBatch(benchmark::State& state) {
   const auto packets = make_ingest_batch(1 << 16);
@@ -630,9 +563,8 @@ BENCHMARK(BM_RankMetricsContext)
 
 // --- Monte-Carlo sweep: binomial sampling + the parallel sweep engine -------
 
-// Thinning kernel head-to-head: the portable sampler vs a per-call
-// std::binomial_distribution (what thin_count and run_mc_model used
-// through PR 2). Small mean hits the BINV branch, large mean BTPE.
+// The portable thinning kernel behind thin_count and the mc model. Small
+// mean hits the BINV branch, large mean BTPE.
 void BM_BinomialSample(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
   auto engine = flowrank::util::make_engine(17);
@@ -641,16 +573,6 @@ void BM_BinomialSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinomialSample)->Arg(100)->Arg(1000000);
-
-void BM_BinomialSampleStdSeedPath(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  auto engine = flowrank::util::make_engine(17);
-  for (auto _ : state) {
-    std::binomial_distribution<std::uint64_t> thin(n, 0.01);
-    benchmark::DoNotOptimize(thin(engine));
-  }
-}
-BENCHMARK(BM_BinomialSampleStdSeedPath)->Arg(100)->Arg(1000000);
 
 /// Shared workload for the sweep benchmarks: a generated trace and a
 /// figure-shaped SimConfig (4 rates x 15 bins x 20 runs, top-10).
@@ -677,8 +599,7 @@ flowrank::sim::SimConfig sweep_config() {
 // The whole count-path Monte-Carlo sweep on the SweepEngine at 1, 2 and 4
 // threads. Results are bit-identical at every thread count (asserted in
 // tests/test_sweep_engine.cpp); only wall time changes. On a single-vCPU
-// runner the thread counts time-slice one core, so the honest column to
-// compare there is the frozen PR 2 path below; on a multi-core host the
+// runner the thread counts time-slice one core; on a multi-core host the
 // sweep shows the parallel speedup directly. UseRealTime for the same
 // reason as BM_ShardedIngest: workers run off the benchmark's CPU clock.
 void BM_BinnedSimSweep(benchmark::State& state) {
@@ -701,19 +622,6 @@ BENCHMARK(BM_BinnedSimSweep)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-// The frozen PR 2 sweep on the identical workload: sequential grid walk,
-// per-flow std::binomial_distribution construction, full
-// compute_rank_metrics (true-ranking sort included) per run.
-void BM_BinnedSimSweepSeedPath(benchmark::State& state) {
-  const auto& trace = sweep_trace();
-  const auto cfg = sweep_config();
-  for (auto _ : state) {
-    const auto result = bench::legacy_run_binned_simulation(trace, cfg);
-    benchmark::DoNotOptimize(result.series.front().bins.front().ranking.mean());
-  }
-}
-BENCHMARK(BM_BinnedSimSweepSeedPath)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The continuous monitor loop end to end: rolling 2 s windows over a 20 s
 // fault-injected trace (1% corrupt/truncated records, flash-crowd bursts
@@ -785,7 +693,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("flowrank_build_type", FLOWRANK_BUILD_TYPE);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  register_hash_batch_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -1,6 +1,7 @@
 // Sec. 6.4 / Sec. 9 summary claims, checked against the analytic models
 // in one place, plus the reproduction's own findings (Gaussian tail bias,
-// top-top double counting) quantified as an ablation.
+// top-top double counting) quantified as an ablation. Exits non-zero when
+// any claim reads DEVIATION, so ctest runs it as a gate.
 #include "bench_common.hpp"
 
 #include "flowrank/core/mc_model.hpp"
@@ -14,17 +15,18 @@ int main(int argc, char** argv) {
   const flowrank::util::Cli cli(argc, argv);
   (void)cli;
   bench::print_header("Summary", "Sec. 6.4 claims + reproduction ablations");
+  bool all_hold = true;
 
   // Claim 1: ranking the top 10 needs > 10% sampling (5-tuple, beta 1.5).
   {
     auto cfg = bench::sprint_config(bench::kN5Tuple, 10, 1.5, bench::kMean5Tuple);
     const auto plan = flowrank::core::plan_sampling_rate(
         cfg, flowrank::core::PlannerGoal::kRankTopT, 1.0, 1e-4, 1.0);
-    bench::print_verdict("(1) ranking top-10 at N=0.7M needs a rate above 10%",
-                         plan.feasible && plan.sampling_rate > 0.10,
-                         "planner: minimum rate = " +
-                             flowrank::util::format_double(plan.sampling_rate * 100) +
-                             "%");
+    all_hold &= bench::print_verdict(
+        "(1) ranking top-10 at N=0.7M needs a rate above 10%",
+        plan.feasible && plan.sampling_rate > 0.10,
+        "planner: minimum rate = " +
+            flowrank::util::format_double(plan.sampling_rate * 100) + "%");
   }
 
   // Claim 2: heavier tail ranks better.
@@ -34,10 +36,10 @@ int main(int argc, char** argv) {
     heavy.p = light.p = 0.1;
     const double mh = flowrank::core::evaluate_ranking_model(heavy).metric;
     const double ml = flowrank::core::evaluate_ranking_model(light).metric;
-    bench::print_verdict("(2) the heavier the tail, the better the ranking", mh < ml,
-                         "metric at 10%: beta=1.2 -> " +
-                             flowrank::util::format_double(mh) + ", beta=2.5 -> " +
-                             flowrank::util::format_double(ml));
+    all_hold &= bench::print_verdict(
+        "(2) the heavier the tail, the better the ranking", mh < ml,
+        "metric at 10%: beta=1.2 -> " + flowrank::util::format_double(mh) +
+            ", beta=2.5 -> " + flowrank::util::format_double(ml));
   }
 
   // Claim 3: more flows rank better; millions of flows work at ~1%.
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
     large.pairwise = PairwiseModel::kHybrid;
     large.counting = PairCounting::kUnordered;
     const double ml_corrected = flowrank::core::evaluate_ranking_model(large).metric;
-    bench::print_verdict(
+    all_hold &= bench::print_verdict(
         "(3) ranking improves with N; millions of flows make ~1% usable",
         ml < ms && ml_corrected < ms,
         "metric at 1%: N=140K -> " + flowrank::util::format_double(ms) +
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
     const double m5 = flowrank::core::evaluate_ranking_model(tuple5).metric;
     const double m24 = flowrank::core::evaluate_ranking_model(prefix).metric;
     const bool same_ballpark = m24 < m5 * 30 && m5 < m24 * 30;
-    bench::print_verdict(
+    all_hold &= bench::print_verdict(
         "(4) no significant difference between 5-tuple and /24 definitions",
         same_ballpark,
         "metric at 1%, t=10: 5-tuple -> " + flowrank::util::format_double(m5) +
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
         cfg, flowrank::core::PlannerGoal::kRankTopT, 1.0, 1e-4, 1.0);
     const auto det_plan = flowrank::core::plan_sampling_rate(
         cfg, flowrank::core::PlannerGoal::kDetectTopT, 1.0, 1e-4, 1.0);
-    bench::print_verdict(
+    all_hold &= bench::print_verdict(
         "(5) detection-only reduces the required rate by ~an order of magnitude",
         rank_plan.feasible && det_plan.feasible &&
             det_plan.sampling_rate * 3.0 < rank_plan.sampling_rate,
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
     const auto disc_plan =
         flowrank::core::plan_sampling_rate(dcfg, target, 1e-4, 0.999);
     const double ratio = disc_plan.sampling_rate / cont_plan.sampling_rate;
-    bench::print_verdict(
+    all_hold &= bench::print_verdict(
         "(6) the exact discrete model backs the continuous shortcut",
         cont_plan.feasible && disc_plan.feasible && ratio < 3.0 && ratio > 1.0 / 3.0,
         "rate for <= 50 swapped pairs at N=2000, t=10: continuous " +
@@ -125,7 +127,7 @@ int main(int argc, char** argv) {
   }
 
   // Reproduction ablation: decompose the paper-model vs truth gap at
-  // Internet scale (see EXPERIMENTS.md "Model fidelity").
+  // Internet scale (see scenarios/figures/README.md, "Model fidelity").
   {
     auto cfg = bench::sprint_config(3500000, 10, 1.5, bench::kMean5Tuple);
     cfg.p = 0.001;
@@ -142,5 +144,5 @@ int main(int argc, char** argv) {
               << flowrank::util::format_double(mc.ranking_metric.mean()) << " +- "
               << flowrank::util::format_double(mc.ranking_stderr()) << "\n";
   }
-  return 0;
+  return all_hold ? 0 : 1;
 }

@@ -34,7 +34,7 @@
 
 #include "flowrank/monitor/monitor_loop.hpp"
 #include "flowrank/report/result_sink.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/util/cli.hpp"
 #include "flowrank/util/error.hpp"
 #include "flowrank/util/table.hpp"
@@ -65,7 +65,10 @@ int main(int argc, char** argv) {
     // monitor mode. The batch defaults carry a 4-rate grid; a monitor
     // watches one live stream, so default to one moderate rate unless the
     // spec or CLI picked one.
-    sim::ScenarioSpec spec = sim::scenario_from_cli(cli);
+    sim::ExperimentSpec spec;
+    const std::string file = cli.get_string("scenario", "");
+    if (!file.empty()) spec = sim::parse_experiment_file(file);
+    sim::apply_experiment_overrides(spec, cli);
     spec.monitor.enabled = true;
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.05};
     if (spec.name == "scenario") spec.name = "heavy-hitter monitor";

@@ -49,7 +49,7 @@
 #include "flowrank/packet/flow_key.hpp"
 #include "flowrank/report/result_sink.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
-#include "flowrank/sim/scenario.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/trace/bin_counts.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/util/bytes.hpp"
@@ -204,7 +204,10 @@ int main(int argc, char** argv) {
 
     // Full scenario grammar, forced into aggregate mode. The batch
     // defaults carry a 4-rate grid; each agent samples one live stream.
-    sim::ScenarioSpec spec = sim::scenario_from_cli(cli);
+    sim::ExperimentSpec spec;
+    const std::string file = cli.get_string("scenario", "");
+    if (!file.empty()) spec = sim::parse_experiment_file(file);
+    sim::apply_experiment_overrides(spec, cli);
     spec.aggregate.enabled = true;
     if (spec.sampling_rates.size() != 1) spec.sampling_rates = {0.5};
     if (spec.name == "scenario") spec.name = "multi-vantage demo";

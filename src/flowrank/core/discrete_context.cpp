@@ -276,39 +276,34 @@ const CoreKernels& core_kernels() {
 }
 
 /// Eq. (1) for up to 8 consecutive `small` lanes against one cdf row `c`:
-/// out[m] = clamp(sum_k lane_row[m][k] * c[k]) over lane m's k range.
+/// out[m] = clamp(sum_k lane_row[m][k] * c[k]) over k in [0, khi[m]].
 /// `tg` is a transposed lane-major copy of the 8 rows (tg[k*8 + m] =
 /// lane_row[m][k], exact bit copies), so the shared core reads one
 /// contiguous cache line per k — a form the auto-vectorizer handles with
 /// baseline SSE2 — instead of touching eight distinct rows. Lane k-ranges
-/// differ (by the lane's own upper bound `small`, and by per-size windows
-/// when gated), so each lane runs a scalar prologue [k_lo, K0) and
-/// epilogue (K1, k_hi] around the shared [K0, K1] core with 8 independent
-/// accumulators — every lane's adds stay in ascending k order.
+/// differ by the lane's own upper bound khi = `small`, so each lane runs
+/// a scalar epilogue (K1, khi] after the shared [0, K1] core with 8
+/// independent accumulators — every lane's adds stay in ascending k
+/// order.
 void pm_lane_block(const double* tg, const double* const* lane_row,
-                   const std::int64_t* klo, const std::int64_t* khi,
-                   std::int64_t lanes, const double* c, double* out) {
-  const std::int64_t K0 = *std::max_element(klo, klo + lanes);
-  const std::int64_t K1 = *std::min_element(khi, khi + lanes);
-  if (lanes < 8 || K0 > K1) {
-    // Ragged tail block, or no common core (degenerate windows): plain
-    // scalar lanes.
+                   const std::int64_t* khi, std::int64_t lanes, const double* c,
+                   double* out) {
+  if (lanes < 8) {
+    // Ragged tail block: plain scalar lanes.
     for (std::int64_t m = 0; m < lanes; ++m) {
       double acc = 0.0;
-      dot_in_order(acc, lane_row[m], c, klo[m], khi[m]);
+      dot_in_order(acc, lane_row[m], c, 0, khi[m]);
       out[m] = acc < 1.0 ? acc : 1.0;
     }
     return;
   }
-  // Ragged per-lane prologue [klo, K0) and epilogue (K1, khi] run scalar
-  // around the dispatched [K0, K1] core; the accumulator array is carried
-  // through by exact value, so each lane is still one running sum in
-  // strictly ascending k order.
+  // The ragged per-lane epilogue (K1, khi] runs scalar after the
+  // dispatched [0, K1] core; the accumulator array is carried through by
+  // exact value, so each lane is still one running sum in strictly
+  // ascending k order.
+  const std::int64_t K1 = *std::min_element(khi, khi + 8);
   double acc[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  for (std::int64_t m = 0; m < 8; ++m) {
-    dot_in_order(acc[m], lane_row[m], c, klo[m], K0 - 1);
-  }
-  core_kernels().one(tg, K0, K1, c, acc);
+  core_kernels().one(tg, 0, K1, c, acc);
   for (std::int64_t m = 0; m < 8; ++m) {
     dot_in_order(acc[m], lane_row[m], c, K1 + 1, khi[m]);
     out[m] = acc[m] < 1.0 ? acc[m] : 1.0;
@@ -325,28 +320,12 @@ void pm_lane_block(const double* tg, const double* const* lane_row,
 /// which independent cells proceed in lockstep changes. Callers must
 /// guarantee all 8 lanes lie strictly below BOTH larges.
 void pm_lane_block2(const double* tg, const double* const* lane_row,
-                    const std::int64_t* klo, const std::int64_t* khi,
-                    const double* c0, const double* c1, double* out0,
-                    double* out1) {
-  const std::int64_t K0 = *std::max_element(klo, klo + 8);
+                    const std::int64_t* khi, const double* c0, const double* c1,
+                    double* out0, double* out1) {
   const std::int64_t K1 = *std::min_element(khi, khi + 8);
-  if (K0 > K1) {  // degenerate windows: no shared core
-    for (std::int64_t m = 0; m < 8; ++m) {
-      double acc0 = 0.0, acc1 = 0.0;
-      dot_in_order(acc0, lane_row[m], c0, klo[m], khi[m]);
-      dot_in_order(acc1, lane_row[m], c1, klo[m], khi[m]);
-      out0[m] = acc0 < 1.0 ? acc0 : 1.0;
-      out1[m] = acc1 < 1.0 ? acc1 : 1.0;
-    }
-    return;
-  }
   double acc_a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
   double acc_b[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  for (std::int64_t m = 0; m < 8; ++m) {
-    dot_in_order(acc_a[m], lane_row[m], c0, klo[m], K0 - 1);
-    dot_in_order(acc_b[m], lane_row[m], c1, klo[m], K0 - 1);
-  }
-  core_kernels().two(tg, K0, K1, c0, c1, acc_a, acc_b);
+  core_kernels().two(tg, 0, K1, c0, c1, acc_a, acc_b);
   for (std::int64_t m = 0; m < 8; ++m) {
     dot_in_order(acc_a[m], lane_row[m], c0, K1 + 1, khi[m]);
     dot_in_order(acc_b[m], lane_row[m], c1, K1 + 1, khi[m]);
@@ -364,11 +343,6 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   if (!(config.p > 0.0 && config.p < 1.0)) {
     throw std::invalid_argument("discrete model: requires p in (0,1)");
   }
-  if (!(config.window_tolerance >= 0.0 && config.window_tolerance < 0.1)) {
-    throw std::invalid_argument(
-        "discrete model: window tolerance is a skipped pmf mass in [0, 0.1), "
-        "not a time window");
-  }
   const auto& pmf_src = *config.size_pmf;
   const std::int64_t lo = pmf_src.min_packets();
   const std::int64_t hi = config.max_size;
@@ -381,7 +355,6 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   }
 
   p_ = config.p;
-  window_tolerance_ = config.window_tolerance;
   lo_ = lo;
   hi_ = hi;
   const auto count = static_cast<std::size_t>(hi - lo + 1);
@@ -415,35 +388,13 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
   std::vector<double> pm_equal(count);
 
   std::vector<double> rows;
-  // Per-size k-sum windows (full range unless the gate is on).
-  std::vector<std::int64_t> win_lo(count, 0), win_hi(count);
   if (!config.gaussian_pairwise) {
     rows.resize(row_total);
     pool.parallel_for(
         count,
         [&](std::size_t r) {
-          const std::int64_t s = lo + static_cast<std::int64_t>(r);
-          fill_pmf_row(rows.data() + row_off[r], s, p_);
-          std::int64_t k_lo = 0, k_hi = s;
-          if (window_tolerance_ > 0.0) {
-            // Central window of Bin(s, p): trim each tail while the
-            // cumulative trimmed mass stays within tolerance/2. The
-            // window is never empty (the k_lo scan stops before s).
-            const double* row = rows.data() + row_off[r];
-            const double half = 0.5 * window_tolerance_;
-            double cut = 0.0;
-            while (k_lo < s && cut + row[k_lo] <= half) {
-              cut += row[k_lo];
-              ++k_lo;
-            }
-            cut = 0.0;
-            while (k_hi > k_lo && cut + row[k_hi] <= half) {
-              cut += row[k_hi];
-              --k_hi;
-            }
-          }
-          win_lo[r] = k_lo;
-          win_hi[r] = k_hi;
+          fill_pmf_row(rows.data() + row_off[r], lo + static_cast<std::int64_t>(r),
+                       p_);
         },
         threads);
   }
@@ -469,8 +420,7 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
     // 1 — same values, same order as the old inline loop. The index
     // `large` entry is never read (small < large); it is set to 1.0 as
     // the old code did. The equal-size diagonal (1 - sum_{i>=1}
-    // b_p(i, large)^2, ascending i exactly as before) rides along; it is
-    // not an Eq. (1) k-sum, so the window gate never touches it.
+    // b_p(i, large)^2, ascending i exactly as before) rides along.
     std::vector<double> cdf_rows(row_total);
     pool.parallel_for(
         count,
@@ -518,18 +468,14 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
           // tg[k*8 + m] = b_p(k, g0 + m). Exact bit copies, so the
           // lane-block arithmetic is unchanged; lanes past a row's end
           // stay zero and are never read (the shared core stops at the
-          // group's min k_hi).
+          // group's smallest `small`). A group's widest row is its last.
           const std::int64_t n_groups = (s_end - s0 + 7) / 8;
           std::vector<std::size_t> tg_off(static_cast<std::size_t>(n_groups));
           std::vector<std::int64_t> tg_kmax(static_cast<std::size_t>(n_groups));
           std::size_t tg_total = 0;
           for (std::int64_t g = 0; g < n_groups; ++g) {
             const std::int64_t g0 = s0 + g * 8;
-            const std::int64_t gl = std::min<std::int64_t>(8, s_end - g0);
-            std::int64_t kmax = 0;
-            for (std::int64_t m = 0; m < gl; ++m) {
-              kmax = std::max(kmax, win_hi[static_cast<std::size_t>(g0 - lo + m)]);
-            }
+            const std::int64_t kmax = std::min<std::int64_t>(g0 + 8, s_end) - 1;
             tg_off[static_cast<std::size_t>(g)] = tg_total;
             tg_kmax[static_cast<std::size_t>(g)] = kmax;
             tg_total += static_cast<std::size_t>(kmax + 1) * 8;
@@ -572,30 +518,29 @@ DiscreteModelContext::DiscreteModelContext(const DiscreteContextConfig& config) 
             const std::int64_t g_end1 =
                 paired ? std::min(s_end, large + 1) : g_end0;
             for (std::int64_t g0 = s0; g0 < g_end1; g0 += 8) {
-              std::int64_t klo[8], khi[8];
+              std::int64_t khi[8];
               const double* lane_row[8];
               const std::int64_t lanes_here =
                   std::min<std::int64_t>(8, g_end1 - g0);
               for (std::int64_t m = 0; m < lanes_here; ++m) {
-                const auto sr = static_cast<std::size_t>(g0 - lo + m);
-                lane_row[m] = rows.data() + row_off[sr];
-                klo[m] = win_lo[sr];
-                khi[m] = win_hi[sr];
+                lane_row[m] =
+                    rows.data() + row_off[static_cast<std::size_t>(g0 - lo + m)];
+                khi[m] = g0 + m;  // Eq. (1) sums k over [0, small]
               }
               const double* tg =
                   tg_buf.data() + tg_off[static_cast<std::size_t>((g0 - s0) / 8)];
               double* const o0 = out0 + static_cast<std::size_t>(g0 - lo);
               if (paired && g0 + 8 <= g_end0) {
-                pm_lane_block2(tg, lane_row, klo, khi, c0, c1, o0,
+                pm_lane_block2(tg, lane_row, khi, c0, c1, o0,
                                out1 + static_cast<std::size_t>(g0 - lo));
                 continue;
               }
               if (g0 < g_end0) {
-                pm_lane_block(tg, lane_row, klo, khi,
+                pm_lane_block(tg, lane_row, khi,
                               std::min<std::int64_t>(8, g_end0 - g0), c0, o0);
               }
               if (paired) {
-                pm_lane_block(tg, lane_row, klo, khi, lanes_here, c1,
+                pm_lane_block(tg, lane_row, khi, lanes_here, c1,
                               out1 + static_cast<std::size_t>(g0 - lo));
               }
             }

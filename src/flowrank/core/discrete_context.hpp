@@ -14,9 +14,7 @@
 // per-row arithmetic is sequential and uses exactly the same seed,
 // recurrence and summation order as the historical single-threaded
 // implementation — results are bit-identical at any thread count and to
-// the pre-context code. The one stream-changing knob, the support-
-// windowed k-sum, is OFF by default and gated behind window_tolerance
-// (PR 3 / PR 9 precedent), with its approximation error bounded below.
+// the pre-context code.
 #pragma once
 
 #include <cstddef>
@@ -41,14 +39,6 @@ struct DiscreteContextConfig {
   /// Use the Gaussian Pm instead of the exact Eq. (1) inside Eq. (3) —
   /// isolates discretization error from Gaussian-approximation error.
   bool gaussian_pairwise = false;
-  /// Gated approximation: when > 0, each Eq. (1) k-sum is restricted to
-  /// the central window of Bin(small, p) that leaves at most
-  /// window_tolerance pmf mass outside (half in each tail). 0 (the
-  /// default) keeps the full-range exact sums — the canonical stream.
-  /// The induced error is one-sided (the sum only loses non-negative
-  /// terms): per pair at most window_tolerance before clamping, hence at
-  /// most 2 * window_tolerance * N / t on mean_pair_misranking.
-  double window_tolerance = 0.0;
   /// Table-build parallelism on the shared exec::TaskPool (0 = all
   /// hardware threads). Never changes results — see the determinism
   /// contract above.
@@ -71,7 +61,6 @@ class DiscreteModelContext {
   [[nodiscard]] double p() const noexcept { return p_; }
   [[nodiscard]] std::int64_t min_size() const noexcept { return lo_; }
   [[nodiscard]] std::int64_t max_size() const noexcept { return hi_; }
-  [[nodiscard]] bool windowed() const noexcept { return window_tolerance_ > 0.0; }
 
   /// Cached reductions, indexed by size - min_size() — the determinism
   /// tests compare these across thread counts bit for bit.
@@ -86,7 +75,6 @@ class DiscreteModelContext {
 
  private:
   double p_ = 0.0;
-  double window_tolerance_ = 0.0;
   std::int64_t lo_ = 0;  ///< smallest size with positive mass
   std::int64_t hi_ = 0;  ///< support cap (config.max_size)
   std::vector<double> pmf_, ccdf_;    ///< size pmf / P{size >= i} rows

@@ -33,11 +33,6 @@ struct DiscreteModelConfig {
   /// Use the Gaussian Pm instead of the exact Eq. (1) inside Eq. (3) —
   /// isolates discretization error from Gaussian-approximation error.
   bool gaussian_pairwise = false;
-  /// Gated support-windowed k-sum: when > 0, skip Bin(small, p) pmf mass
-  /// up to this tolerance per Eq. (1) sum (half per tail). OFF by default
-  /// — the canonical stream stays bit-identical. See
-  /// DiscreteContextConfig::window_tolerance for the error bound.
-  double window_tolerance = 0.0;
   /// Table-build parallelism on the shared exec::TaskPool (0 = all
   /// hardware threads); never changes results.
   std::size_t num_threads = 1;

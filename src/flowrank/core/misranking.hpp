@@ -30,8 +30,8 @@ namespace flowrank::core {
 /// otherwise. Rationale: for pairs (huge flow, tiny flow) at low p the
 /// Gaussian left tail overestimates P{s_big <= s_small} by orders of
 /// magnitude — summed over the ~N tiny companions this inflates the
-/// ranking metric at Internet scale (see EXPERIMENTS.md, "Gaussian tail
-/// bias"). Continuous sizes; accepts s1, s2 in either order.
+/// ranking metric at Internet scale (see scenarios/figures/README.md,
+/// "Model fidelity"). Continuous sizes; accepts s1, s2 in either order.
 [[nodiscard]] double misranking_hybrid(double s1, double s2, double p);
 
 /// Minimum achievable misranking probability for a flow of size S: compare

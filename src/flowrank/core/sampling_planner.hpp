@@ -36,8 +36,7 @@ struct PlannerResult {
 /// exact discrete ranking model (Eqs. 1 and 3) instead of the continuous
 /// quadrature — what the future adaptive controller retunes against.
 /// Each probe changes p, so each rebuilds the pairwise tables; keep
-/// `config.max_size` modest (and consider `config.window_tolerance`) when
-/// planning in a loop. `config.p` is ignored. Unlike the continuous
+/// `config.max_size` modest when planning in a loop. `config.p` is ignored. Unlike the continuous
 /// overload, p_max must stay strictly below 1 (the discrete model's
 /// domain is p in (0,1)).
 [[nodiscard]] PlannerResult plan_sampling_rate(DiscreteModelConfig config,

@@ -209,38 +209,6 @@ std::string FlowSampler::name() const {
   return os.str();
 }
 
-SplitStreamSampler::SplitStreamSampler(double p, std::uint64_t seed)
-    : p_(p), seed_(util::derive_seed(seed, 0x5117u)) {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("SplitStreamSampler: p in [0,1]");
-  }
-  // Same threshold mapping as FlowSampler: p onto the full 64-bit range,
-  // with p=1 selecting everything.
-  threshold_ = p >= 1.0 ? ~0ULL
-                        : static_cast<std::uint64_t>(
-                              p * 18446744073709551615.0);  // 2^64 - 1
-}
-
-bool SplitStreamSampler::offer(const packet::PacketRecord&) {
-  return selects(position_++);
-}
-
-void SplitStreamSampler::select(std::span<const packet::PacketRecord> batch,
-                                std::vector<std::uint32_t>& out_indices) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (selects(position_ + i)) {
-      out_indices.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  position_ += batch.size();
-}
-
-std::string SplitStreamSampler::name() const {
-  std::ostringstream os;
-  os << "split-bernoulli(p=" << p_ << ")";
-  return os.str();
-}
-
 std::uint64_t thin_count(std::uint64_t count, double p, util::Engine& engine) {
   if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument("thin_count: p in [0,1]");

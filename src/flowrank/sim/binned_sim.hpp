@@ -38,15 +38,6 @@ struct SimConfig {
   /// bit-identical at any thread count. 1 = sequential, 0 = all hardware
   /// threads.
   std::size_t num_threads = 1;
-  /// Gated (off by default): replace the packet path's sequential
-  /// geometric-skip BernoulliSampler with the counter-split
-  /// sampler::SplitStreamSampler, letting ingest shards thin their own
-  /// substreams in parallel (ingest::SplitSamplerConfig). Still Bernoulli
-  /// sampling and still bit-identical across shard counts — but a
-  /// DIFFERENT canonical selected set at the same (rate, seed) than the
-  /// skip stream, so enabling it changes packet-path results. Spec key
-  /// `sampler-split`; see docs/PERFORMANCE.md "Scale-up ingest".
-  bool sampler_split = false;
 };
 
 /// Per-bin aggregates over runs at one sampling rate.

@@ -278,8 +278,7 @@ std::string discrete_context_key(const ExperimentSpec& cell) {
   std::ostringstream key;
   key << cell.preset << '|' << cell.dist << '|' << format_value(cell.beta) << '|'
       << format_value(cell.exact_rate) << '|' << cell.exact_max_size << '|'
-      << format_value(cell.exact_tail_tol) << '|'
-      << format_value(cell.exact_window);
+      << format_value(cell.exact_tail_tol);
   return key.str();
 }
 
@@ -474,7 +473,7 @@ const std::vector<std::string>& experiment_keys() {
   static const std::vector<std::string> keys = {
       "counting", "description", "estimator", "exact-pairwise", "max-size",
       "metric",   "model",       "n",         "pairwise",       "rate",
-      "tail-tol", "target",      "window"};
+      "tail-tol", "target"};
   return keys;
 }
 
@@ -494,10 +493,6 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
       throw std::invalid_argument("experiment: model must be exact|mc|packet, got '" +
                                   value + "'");
     }
-    // The scenario layer's path knob follows the model (the packet model
-    // IS the scenario packet path; the shim keeps old specs working).
-    spec.path = spec.model == ExperimentModel::kPacket ? ExecutionPath::kPacket
-                                                       : ExecutionPath::kCount;
   } else if (key == "metric") {
     if (value == "ranking") {
       spec.metric = ExactMetric::kRanking;
@@ -572,13 +567,6 @@ void apply_experiment_entry(ExperimentSpec& spec, const std::string& key,
     if (!(spec.exact_tail_tol > 0.0 && spec.exact_tail_tol < 1.0)) {
       throw std::invalid_argument("experiment: tail-tol in (0,1)");
     }
-  } else if (key == "window") {
-    // Dual-keyed: monitor mode reads `window` as seconds
-    // (monitor.window_s), the exact-discrete model as a skipped-pmf-mass
-    // tolerance. Both fields are set here; check_axes and the model's
-    // own range check keep the two meanings from ever mixing in one run.
-    spec.exact_window = parse_double(key, value);
-    apply_scenario_entry(spec, key, value);
   } else if (key == "estimator") {
     spec.estimator = parse_estimator(value);
     spec.estimator_grammar = value;
@@ -652,9 +640,6 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
         add("exact-pairwise", "exact-discrete");
         add("max-size", std::to_string(spec.exact_max_size));
         add("tail-tol", format_value(spec.exact_tail_tol));
-        if (spec.exact_window > 0.0) {
-          add("window", format_value(spec.exact_window));
-        }
       } else {
         add("pairwise", spec.pairwise == core::PairwiseModel::kGaussian
                             ? "gaussian"
@@ -709,16 +694,14 @@ std::vector<std::pair<std::string, std::string>> experiment_echo(
       if (axis.param == "rate") effective_rates = &axis.values;
     }
     std::string rates;
-    for (std::size_t i = 0; i < effective_rates->size(); ++i) {
-      rates += (i ? "," : "") + format_value((*effective_rates)[i]);
+    for (const double rate : *effective_rates) {
+      if (!rates.empty()) rates.append(",");
+      rates.append(format_value(rate));
     }
     add("rates", rates);
     // threads/shards are deliberately absent: they never change result
     // values (the engines' bit-identity contract), so result files stay
-    // byte-identical at any parallelism. The split-sampler gate DOES
-    // change values (different canonical sampled stream), so it is
-    // echoed whenever it is on.
-    if (spec.sampler_split) add("sampler-split", "on");
+    // byte-identical at any parallelism.
     if (spec.model == ExperimentModel::kMc) {
       add("runs", std::to_string(spec.runs));
     } else {
@@ -896,7 +879,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
   }
 
   // Exact-discrete grids share one core::DiscreteModelContext per
-  // distinct (pmf, rate, max-size, tail-tol, window) — an (n, t) sweep
+  // distinct (pmf, rate, max-size, tail-tol) — an (n, t) sweep
   // pays for its pairwise tables exactly once. Contexts are enumerated in
   // deterministic grid order and built before the parallel grid runs (the
   // build itself is TaskPool-parallel inside), and the reuse is recorded
@@ -919,7 +902,6 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
             std::make_shared<dist::Discretized>(make_size_distribution(cell));
         cfg.max_size = cell.exact_max_size;
         cfg.tail_tolerance = cell.exact_tail_tol;
-        cfg.window_tolerance = cell.exact_window;
         cfg.num_threads = threads;
         context = std::make_shared<const core::DiscreteModelContext>(cfg);
       }
@@ -951,7 +933,7 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
       sink.emit(index, exact_cell_row(base, axes, index, discrete_contexts));
     });
     rows = cells;
-  } else if (spec.model == ExperimentModel::kMc) {
+  } else {
     // Cells sharing a trace configuration reuse one materialized trace
     // (e.g. a figure's two bin lengths), exactly like the historical
     // fig12-16 drivers.
@@ -968,63 +950,49 @@ std::size_t run_experiment(const ExperimentSpec& spec, report::ResultSink& sink)
         cached = std::make_shared<const trace::FlowTrace>(
             make_trace_source(cell)->flows());
       }
-      const SimResult result = run_binned_simulation(*cached, make_sim_config(cell));
-      for (const auto& series : result.series) {
-        for (std::size_t b = 0; b < series.bins.size(); ++b) {
-          const BinStats& stats = series.bins[b];
-          report::Row row;
-          push_axis_cells(row, axes, values);
-          row.emplace_back(series.sampling_rate);
-          row.emplace_back((static_cast<double>(b) + 1.0) * cell.bin_seconds);
-          row.emplace_back(stats.flows_in_bin);
-          const bool ranked = stats.ranking.count() > 0;
-          row.emplace_back(ranked ? stats.ranking.mean() : std::nan(""));
-          row.emplace_back(ranked ? stats.ranking.stddev() : std::nan(""));
-          row.emplace_back(ranked ? stats.detection.mean() : std::nan(""));
-          row.emplace_back(ranked ? stats.detection.stddev() : std::nan(""));
-          row.emplace_back(ranked ? stats.recall.mean() : std::nan(""));
-          sink.emit(rows++, std::move(row));
-        }
-      }
-    }
-  } else {
-    std::map<std::string, std::shared_ptr<const trace::FlowTrace>> trace_cache;
-    for (std::size_t index = 0; index < cells; ++index) {
-      const auto values = cell_values(axes, index);
-      ExperimentSpec cell = base;
-      double s1 = 0.0, s2 = 0.0;
-      for (std::size_t a = 0; a < axes.size(); ++a) {
-        apply_axis(cell, axes[a].param, values[a], s1, s2);
-      }
-      auto& cached = trace_cache[trace_cache_key(cell)];
-      if (!cached) {
-        cached = std::make_shared<const trace::FlowTrace>(
-            make_trace_source(cell)->flows());
-      }
       const SimConfig config = make_sim_config(cell);
+      const auto begin_row = [&](double rate, std::size_t bin, std::size_t flows) {
+        report::Row row;
+        push_axis_cells(row, axes, values);
+        row.emplace_back(rate);
+        row.emplace_back((static_cast<double>(bin) + 1.0) * cell.bin_seconds);
+        row.emplace_back(flows);
+        return row;
+      };
+      if (spec.model == ExperimentModel::kMc) {
+        const SimResult result = run_binned_simulation(*cached, config);
+        for (const auto& series : result.series) {
+          for (std::size_t b = 0; b < series.bins.size(); ++b) {
+            const BinStats& stats = series.bins[b];
+            report::Row row = begin_row(series.sampling_rate, b, stats.flows_in_bin);
+            const bool ranked = stats.ranking.count() > 0;
+            row.emplace_back(ranked ? stats.ranking.mean() : std::nan(""));
+            row.emplace_back(ranked ? stats.ranking.stddev() : std::nan(""));
+            row.emplace_back(ranked ? stats.detection.mean() : std::nan(""));
+            row.emplace_back(ranked ? stats.detection.stddev() : std::nan(""));
+            row.emplace_back(ranked ? stats.recall.mean() : std::nan(""));
+            sink.emit(rows++, std::move(row));
+          }
+        }
+        continue;
+      }
       for (const double rate : cell.sampling_rates) {
         const auto bins = run_packet_level_estimated(
             *cached, rate, config, cell.seed, cell.num_shards, cell.estimator);
         for (std::size_t b = 0; b < bins.size(); ++b) {
+          const auto& m = bins[b].metrics;
           const bool ranked = bins[b].flows_in_bin >= cell.top_t;
-          report::Row row;
-          push_axis_cells(row, axes, values);
-          row.emplace_back(rate);
-          row.emplace_back((static_cast<double>(b) + 1.0) * cell.bin_seconds);
-          row.emplace_back(bins[b].flows_in_bin);
-          row.emplace_back(ranked ? bins[b].metrics.ranking_swapped : std::nan(""));
-          row.emplace_back(ranked ? bins[b].metrics.detection_swapped
-                                  : std::nan(""));
-          row.emplace_back(ranked ? bins[b].metrics.top_set_recall : std::nan(""));
+          report::Row row = begin_row(rate, b, bins[b].flows_in_bin);
+          row.emplace_back(ranked ? m.ranking_swapped : std::nan(""));
+          row.emplace_back(ranked ? m.detection_swapped : std::nan(""));
+          row.emplace_back(ranked ? m.top_set_recall : std::nan(""));
           sink.emit(rows++, std::move(row));
         }
       }
     }
   }
-  const std::size_t total_rows =
-      spec.model == ExperimentModel::kExact ? cells : rows;
-  sink.close(total_rows);
-  return total_rows;
+  sink.close(rows);
+  return rows;
 }
 
 }  // namespace flowrank::sim

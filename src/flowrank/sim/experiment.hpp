@@ -4,7 +4,8 @@
 // are data, not binaries.
 //
 // An ExperimentSpec extends ScenarioSpec (all scenario keys keep working)
-// with a model axis and a sweep grammar:
+// with a model axis and a sweep grammar. `model` is the one knob that
+// picks the pipeline:
 //
 //   model = exact | mc | packet
 //     exact  — the analytic models (quadrature ranking/detection,
@@ -14,8 +15,8 @@
 //              switches metric=ranking cells to the integer-support
 //              discrete model (Eqs. 1 and 3) backed by build-once
 //              core::DiscreteModelContext tables, cached per distinct
-//              (p, pmf, max-size, tail-tol, window) across the grid;
-//     mc     — the trace-driven count-path Monte-Carlo simulation
+//              (p, pmf, max-size, tail-tol) across the grid;
+//     mc     — the trace-driven count-level Monte-Carlo simulation
 //              (binomial thinning over per-bin counts; figs 12-16), one
 //              row per (grid cell, rate, time bin);
 //     packet — the production packet pipeline (stream → sampler →
@@ -36,10 +37,8 @@
 // gaussian_error, n = <population>, rate = <fixed sampling rate>,
 // target = <Pm,d for optimal_rate>, pairwise = gaussian|hybrid,
 // counting = paper|unordered, exact-pairwise = gaussian|hybrid|
-// exact-discrete, plus the exact-discrete knobs max-size = <support cap>,
-// tail-tol = <pmf tail mass tolerance> and window = <gated k-sum pmf
-// tolerance; doubles as the monitor window seconds — run-time validation
-// keeps the two modes apart>.
+// exact-discrete, plus the exact-discrete knobs max-size = <support cap>
+// and tail-tol = <pmf tail mass tolerance>.
 //
 // Packet-model estimator stage (closing the paper's sampled → estimated
 // → ranked loop):
@@ -95,10 +94,6 @@ struct ExperimentSpec : ScenarioSpec {
   bool exact_discrete = false;
   std::int64_t exact_max_size = 4096;  ///< discrete support cap (max-size)
   double exact_tail_tol = 1e-6;        ///< discrete tail tolerance (tail-tol)
-  /// Discrete windowed-k-sum tolerance (0 = exact, the default). Shares
-  /// the `window` key with monitor mode's seconds; both fields are set at
-  /// parse time and check_axes keeps the modes mutually exclusive.
-  double exact_window = 0.0;
 
   // --- packet-model estimator stage ---------------------------------------
   EstimatorStage estimator;

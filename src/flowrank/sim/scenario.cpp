@@ -1,11 +1,8 @@
 #include "flowrank/sim/scenario.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <map>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -16,7 +13,6 @@
 #include "flowrank/sim/spec_detail.hpp"
 #include "flowrank/trace/trace_io.hpp"
 #include "flowrank/util/error.hpp"
-#include "flowrank/util/table.hpp"
 
 namespace flowrank::sim {
 
@@ -198,10 +194,9 @@ const std::vector<std::string>& base_mode_keys() {
       "beta",      "bin",         "churn",           "definition",
       "dist",      "duration",    "epoch-gap",       "epochs",
       "flow-rate", "flow-rate-scale", "mode",        "name",
-      "onoff",     "packet-size", "path",            "preset",
-      "rates",     "runs",        "sampler-split",   "seed",
-      "shards",    "t",           "threads",         "ties",
-      "trace",     "trace-seed"};
+      "onoff",     "packet-size", "preset",          "rates",
+      "runs",      "seed",        "shards",          "t",
+      "threads",   "ties",        "trace",           "trace-seed"};
   return keys;
 }
 
@@ -293,15 +288,6 @@ void apply_entry(ScenarioSpec& spec, const std::string& key, const std::string& 
     spec.on_off = parse_onoff(value);
   } else if (key == "churn") {
     spec.churn = parse_churn(value);
-  } else if (key == "sampler-split") {
-    if (value == "on" || value == "true" || value == "1") {
-      spec.sampler_split = true;
-    } else if (value == "off" || value == "false" || value == "0") {
-      spec.sampler_split = false;
-    } else {
-      throw std::invalid_argument(
-          "scenario: sampler-split must be on|off, got '" + value + "'");
-    }
   } else if (key == "bin") {
     spec.bin_seconds = parse_double(key, value);
   } else if (key == "t") {
@@ -332,15 +318,6 @@ void apply_entry(ScenarioSpec& spec, const std::string& key, const std::string& 
     } else {
       throw std::invalid_argument(
           "scenario: definition must be 5tuple|prefix24, got '" + value + "'");
-    }
-  } else if (key == "path") {
-    if (value == "count") {
-      spec.path = ExecutionPath::kCount;
-    } else if (value == "packet") {
-      spec.path = ExecutionPath::kPacket;
-    } else {
-      throw std::invalid_argument("scenario: path must be count|packet, got '" +
-                                  value + "'");
     }
   } else if (key == "threads") {
     // Validates the sanity cap up front (0 = all hardware threads).
@@ -540,14 +517,6 @@ void apply_scenario_overrides(ScenarioSpec& spec, const util::Cli& cli) {
   }
 }
 
-ScenarioSpec scenario_from_cli(const util::Cli& cli) {
-  ScenarioSpec spec;
-  const std::string file = cli.get_string("scenario", "");
-  if (!file.empty()) spec = parse_scenario_file(file);
-  apply_scenario_overrides(spec, cli);
-  return spec;
-}
-
 std::shared_ptr<const dist::FlowSizeDistribution> make_size_distribution(
     const ScenarioSpec& spec) {
   if (!spec.dist.empty()) return parse_dist(spec.dist);
@@ -682,7 +651,6 @@ SimConfig make_sim_config(const ScenarioSpec& spec) {
   config.tie_policy = spec.tie_policy;
   config.seed = spec.seed;
   config.num_threads = spec.num_threads;
-  config.sampler_split = spec.sampler_split;
   return config;
 }
 
@@ -741,97 +709,11 @@ agg::FleetConfig make_fleet_config(const ScenarioSpec& spec) {
   return config;
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  if (spec.monitor.enabled) {
-    throw std::invalid_argument(
-        "scenario: mode=monitor runs through the experiment engine "
-        "(flowrank_experiments) or monitor::MonitorLoop, not run_scenario");
-  }
-  if (spec.aggregate.enabled) {
-    throw std::invalid_argument(
-        "scenario: mode=aggregate runs through the experiment engine "
-        "(flowrank_experiments) or agg::run_fleet, not run_scenario");
-  }
-  const auto source = make_trace_source(spec);
-  const auto trace = source->flows();
-  const SimConfig config = make_sim_config(spec);
-
-  ScenarioResult result;
-  result.spec = spec;
-  result.source_name = source->name();
-  result.flow_count = trace.flows.size();
-  result.packet_count = trace.total_packets();
-  result.duration_s = trace.config.duration_s;
-  if (spec.path == ExecutionPath::kCount) {
-    result.count = run_binned_simulation(trace, config);
-  } else {
-    result.packet.reserve(spec.sampling_rates.size());
-    for (const double rate : spec.sampling_rates) {
-      result.packet.push_back(run_packet_level_once(trace, rate, config, spec.seed,
-                                                    spec.num_shards));
-    }
-  }
-  return result;
-}
-
 std::size_t export_scenario_trace(const ScenarioSpec& spec, const std::string& path) {
   const auto source = make_trace_source(spec);
   const auto trace = source->flows();
   trace::save_flow_records(path, trace.flows);
   return trace.flows.size();
-}
-
-void print_scenario_report(std::ostream& os, const ScenarioResult& result) {
-  const ScenarioSpec& spec = result.spec;
-  os << "# scenario: " << spec.name << "\n";
-  os << "# source:   " << result.source_name << " — " << result.flow_count
-     << " flows, " << result.packet_count << " packets over " << result.duration_s
-     << " s\n";
-  os << "# config:   bin " << spec.bin_seconds << " s, top-" << spec.top_t << ", "
-     << (spec.path == ExecutionPath::kCount
-             ? std::to_string(spec.runs) + " runs (count path)"
-             : std::string("packet path"))
-     << ", ties "
-     << (spec.tie_policy == metrics::TiePolicy::kPaper ? "paper" : "lenient")
-     << "\n";
-
-  if (spec.path == ExecutionPath::kCount) {
-    for (const char* metric : {"ranking", "detection"}) {
-      os << "\n## " << metric
-         << " metric (mean/std of swapped pairs per bin over runs)\n";
-      std::vector<std::string> headers{"time_s", "flows"};
-      for (double rate : spec.sampling_rates) {
-        headers.push_back("p=" + util::format_double(rate * 100) + "%");
-        headers.push_back("std");
-      }
-      util::Table table(headers);
-      const auto& series0 = result.count.series.front();
-      for (std::size_t b = 0; b < series0.bins.size(); ++b) {
-        table.begin_row();
-        table.add_cell((static_cast<double>(b) + 1.0) * spec.bin_seconds);
-        table.add_cell(series0.bins[b].flows_in_bin);
-        for (const auto& series : result.count.series) {
-          const auto& stats = metric == std::string("ranking")
-                                  ? series.bins[b].ranking
-                                  : series.bins[b].detection;
-          table.add_cell(stats.count() > 0 ? stats.mean() : std::nan(""));
-          table.add_cell(stats.count() > 0 ? stats.stddev() : std::nan(""));
-        }
-      }
-      table.print(os);
-    }
-    return;
-  }
-
-  for (std::size_t r = 0; r < result.packet.size(); ++r) {
-    os << "\n## packet path, p = " << spec.sampling_rates[r] * 100 << "%\n";
-    util::Table table({"bin", "ranking_swapped", "detection_swapped", "recall"});
-    for (std::size_t b = 0; b < result.packet[r].size(); ++b) {
-      const auto& m = result.packet[r][b];
-      table.add_row(b, m.ranking_swapped, m.detection_swapped, m.top_set_recall);
-    }
-    table.print(os);
-  }
 }
 
 }  // namespace flowrank::sim

@@ -3,10 +3,11 @@
 // The paper's evaluation is one pipeline — trace → sample → bin → rank —
 // run over many workloads. A ScenarioSpec describes one workload as data
 // (trace source, distribution family, arrival model, rate grid, bin
-// length, tie policy, execution path, threads/shards) parsed from a
-// key=value file or CLI options, so a new scenario is a new text file,
-// not a new C++ driver. The fig12–16 drivers, the examples and the
-// scenario suite under scenarios/ all build on this layer.
+// length, tie policy, threads/shards) parsed from a key=value file or CLI
+// options, so a new scenario is a new text file, not a new C++ driver.
+// The experiment layer (sim/experiment.hpp) adds the `model` key that
+// picks the pipeline and parses every spec file; flowrank_experiments
+// and the examples read specs through it.
 //
 // Spec format (same keys as `--<key>` CLI overrides). '#' starts a
 // comment at line start or after whitespace; a '#' embedded in a token
@@ -31,20 +32,16 @@
 //   bin         = 30                   # measurement interval seconds
 //   t           = 10                   # flows to rank/detect
 //   rates       = 0.01,0.1,0.5
-//   runs        = 15                   # count-path Monte-Carlo runs
+//   runs        = 15                   # mc-model Monte-Carlo runs
 //   seed        = 7                    # sampling seed
 //   ties        = paper                # paper|lenient
 //   definition  = 5tuple               # 5tuple|prefix24
-//   path        = count                # count|packet
-//   threads     = 0                    # count-path grid workers (0 = all hw)
-//   shards      = 0                    # packet-path ingest shards (0 = all hw)
-//   sampler-split = off                # on: gated per-shard split sampler
-//                                      # (changes the canonical sampled stream;
-//                                      # see docs/PERFORMANCE.md "Scale-up ingest")
+//   threads     = 0                    # mc grid workers (0 = all hw)
+//   shards      = 0                    # packet-model ingest shards (0 = all hw)
 //
 // Continuous-monitor keys (mode=monitor runs the spec through
 // flowrank::monitor::MonitorLoop via the experiment engine; requires
-// path=packet semantics and exactly one sampling rate):
+// model=packet and exactly one sampling rate):
 //
 //   mode        = monitor              # batch|monitor
 //   window      = 30                   # monitor window seconds (0 = use bin)
@@ -64,8 +61,8 @@
 //   fault.seed        = 99             # injection seed
 //
 // Multi-vantage aggregation keys (mode=aggregate runs the spec through
-// agg::run_fleet via the experiment engine; requires path=packet
-// semantics and exactly one sampling rate; bin = the aggregation window):
+// agg::run_fleet via the experiment engine; requires model=packet and
+// exactly one sampling rate; bin = the aggregation window):
 //
 //   mode        = aggregate            # batch|monitor|aggregate
 //   agents      = 3                    # vantage agents
@@ -89,7 +86,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -104,11 +100,6 @@
 #include "flowrank/util/cli.hpp"
 
 namespace flowrank::sim {
-
-/// Which pipeline executes the scenario: the count path (per-bin counts +
-/// binomial thinning, Monte-Carlo over runs) or the packet path (full
-/// packet stream through sampler + sharded classifier, one pass).
-enum class ExecutionPath { kCount, kPacket };
 
 /// Continuous-monitor knobs (the `mode = monitor` key family). Executed
 /// by flowrank::monitor::MonitorLoop through the experiment engine.
@@ -176,12 +167,8 @@ struct ScenarioSpec {
   packet::FlowDefinition definition = packet::FlowDefinition::kFiveTuple;
 
   // --- execution ----------------------------------------------------------
-  ExecutionPath path = ExecutionPath::kCount;
-  std::size_t num_threads = 0;  ///< count-path grid workers, 0 = all hw
-  std::size_t num_shards = 0;   ///< packet-path shards, 0 = all hw
-  /// Gated per-shard split sampler ("sampler-split" key); changes the
-  /// canonical sampled stream, so it defaults off (SimConfig::sampler_split).
-  bool sampler_split = false;
+  std::size_t num_threads = 0;  ///< mc grid workers, 0 = all hw
+  std::size_t num_shards = 0;   ///< packet-model shards, 0 = all hw
   MonitorOptions monitor;       ///< continuous-monitor keys (mode=monitor)
   AggregateOptions aggregate;   ///< multi-vantage keys (mode=aggregate)
 };
@@ -223,9 +210,6 @@ void apply_scenario_entry(ScenarioSpec& spec, const std::string& key,
 /// Applies `--key value` CLI overrides for every spec key onto `spec`.
 void apply_scenario_overrides(ScenarioSpec& spec, const util::Cli& cli);
 
-/// Spec from CLI alone: `--scenario file` (if given) then overrides.
-[[nodiscard]] ScenarioSpec scenario_from_cli(const util::Cli& cli);
-
 /// The flow-size distribution the spec describes (preset or custom).
 [[nodiscard]] std::shared_ptr<const dist::FlowSizeDistribution>
 make_size_distribution(const ScenarioSpec& spec);
@@ -249,27 +233,9 @@ make_size_distribution(const ScenarioSpec& spec);
 /// aggregation window.
 [[nodiscard]] agg::FleetConfig make_fleet_config(const ScenarioSpec& spec);
 
-/// A scenario's outputs: the count path fills `count`, the packet path
-/// fills `packet` (one metrics series per sampling rate).
-struct ScenarioResult {
-  ScenarioSpec spec;
-  std::string source_name;
-  std::size_t flow_count = 0;
-  std::uint64_t packet_count = 0;
-  double duration_s = 0.0;  ///< materialized trace length (all epochs)
-  SimResult count;
-  std::vector<std::vector<metrics::RankMetricsResult>> packet;
-};
-
-/// Materializes the trace and runs the scenario end to end.
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
-
 /// Materializes the spec's trace source and writes the flow records as an
-/// FRT1 file (the scenario_runner --export-trace path). Returns the
+/// FRT1 file (the flowrank_experiments --export-trace path). Returns the
 /// number of flows written. Throws on I/O failure.
 std::size_t export_scenario_trace(const ScenarioSpec& spec, const std::string& path);
-
-/// Human-readable report: trace provenance + per-rate per-bin tables.
-void print_scenario_report(std::ostream& os, const ScenarioResult& result);
 
 }  // namespace flowrank::sim

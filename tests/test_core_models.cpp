@@ -142,8 +142,9 @@ TEST(RankingModel, MoreFlowsRankBetter) {
       fc::evaluate_ranking_model(make_config(3500000, 10, 0.01)).metric;
   EXPECT_LT(large_n, small_n);
   // Sec. 6.3 claims N=3.5M is "very accurate even at 0.1%". Neither the
-  // model nor Monte Carlo reproduces metric < 1 there (see EXPERIMENTS.md),
-  // but the order-of-magnitude improvement over N=140K does hold.
+  // model nor Monte Carlo reproduces metric < 1 there (see "Model
+  // fidelity" in scenarios/figures/README.md), but the order-of-magnitude
+  // improvement over N=140K does hold.
   const double huge =
       fc::evaluate_ranking_model(make_config(3500000, 10, 0.001)).metric;
   const double modest =

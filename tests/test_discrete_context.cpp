@@ -140,29 +140,6 @@ TEST(DiscreteModelContext, AgreesWithContinuousModel) {
                    discrete.mean_pair_misranking * pair_count);
 }
 
-// The gated support window is a real approximation: it must change the
-// bit stream (it is not a free lunch) and it must respect the documented
-// one-sided error bound of 2 * window_tolerance * N / t on pbar.
-TEST(DiscreteModelContext, WindowedKSumBoundedError) {
-  const double tol = 1e-4;
-  auto exact_cfg = context_config(0.2, 600, 2.5);
-  auto windowed_cfg = exact_cfg;
-  windowed_cfg.window_tolerance = tol;
-  const fc::DiscreteModelContext exact(exact_cfg);
-  const fc::DiscreteModelContext windowed(windowed_cfg);
-  EXPECT_FALSE(exact.windowed());
-  EXPECT_TRUE(windowed.windowed());
-  const std::int64_t n = 2000, t = 5;
-  const auto re = exact.evaluate(n, t);
-  const auto rw = windowed.evaluate(n, t);
-  EXPECT_NE(re.mean_pair_misranking, rw.mean_pair_misranking)
-      << "window_tolerance > 0 must not silently reproduce the exact stream";
-  const double bound = 2.0 * tol * static_cast<double>(n) / static_cast<double>(t);
-  EXPECT_NEAR(re.mean_pair_misranking, rw.mean_pair_misranking, bound);
-  const double pair_count = 0.5 * (2.0 * n - t - 1) * t;
-  EXPECT_NEAR(re.metric, rw.metric, bound * pair_count);
-}
-
 // Discrete planner overload: bisection against the exact model.
 TEST(DiscreteModelPlanner, FindsFeasibleRate) {
   fc::DiscreteModelConfig cfg;
@@ -202,14 +179,11 @@ TEST(DiscreteModelContext, ValidationErrors) {
     bad.tail_tolerance = 1e-6;
     EXPECT_THROW(fc::DiscreteModelContext{bad}, std::invalid_argument);
   }
-  {
-    // The window knob is a pmf mass in [0, 0.1), not a time window.
-    auto bad = cfg;
-    bad.window_tolerance = 0.5;
-    EXPECT_THROW(fc::DiscreteModelContext{bad}, std::invalid_argument);
-  }
   const fc::DiscreteModelContext context(cfg);
-  EXPECT_THROW(context.evaluate(2000, 0), std::invalid_argument);
-  EXPECT_THROW(context.evaluate(2000, 2001), std::invalid_argument);
-  EXPECT_NO_THROW(context.evaluate(2000, 2000));
+  const auto evaluate = [&context](std::int64_t n, std::int64_t t) {
+    (void)context.evaluate(n, t);
+  };
+  EXPECT_THROW(evaluate(2000, 0), std::invalid_argument);
+  EXPECT_THROW(evaluate(2000, 2001), std::invalid_argument);
+  EXPECT_NO_THROW(evaluate(2000, 2000));
 }

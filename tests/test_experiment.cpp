@@ -1,10 +1,12 @@
 // Tests for the unified experiment layer: sweep/estimator grammars, spec
 // files + CLI overrides, engine parity with the underlying models on all
 // three model axes, estimator stages under sampling (bit-identical to
-// direct estimator calls at shards {1, 4}), and the scenario_runner
-// shim's --export-trace path.
+// direct estimator calls at shards {1, 4}), the --export-trace path, and
+// the checked-in scenarios/ specs.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -20,6 +22,8 @@
 #include "flowrank/estimators/heavy_hitter_trackers.hpp"
 #include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/sim/experiment.hpp"
+#include "flowrank/trace/bin_counts.hpp"
+#include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_io.hpp"
 #include "flowrank/trace/trace_source.hpp"
@@ -137,17 +141,14 @@ TEST(EstimatorGrammar, ParsesAllKinds) {
 }
 
 TEST(EstimatorGrammar, Rejections) {
-  EXPECT_THROW(fsim::parse_estimator("count_min:slots=4"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=0"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=-1"),
-               std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:slots=1.5"),
-               std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("sample_and_hold:slots=-8"),
-               std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("space_saving:bogus=1"), std::invalid_argument);
-  EXPECT_THROW(fsim::parse_estimator("sample_and_hold:hold=2"),
-               std::invalid_argument);
+  const auto parse = [](const char* grammar) { (void)fsim::parse_estimator(grammar); };
+  EXPECT_THROW(parse("count_min:slots=4"), std::invalid_argument);
+  EXPECT_THROW(parse("space_saving:slots=0"), std::invalid_argument);
+  EXPECT_THROW(parse("space_saving:slots=-1"), std::invalid_argument);
+  EXPECT_THROW(parse("space_saving:slots=1.5"), std::invalid_argument);
+  EXPECT_THROW(parse("sample_and_hold:slots=-8"), std::invalid_argument);
+  EXPECT_THROW(parse("space_saving:bogus=1"), std::invalid_argument);
+  EXPECT_THROW(parse("sample_and_hold:hold=2"), std::invalid_argument);
 }
 
 // --- spec files + overrides ------------------------------------------------
@@ -195,7 +196,6 @@ TEST(ExperimentSpecFile, ParsesExactDiscreteKeys) {
                                            "exact-pairwise = exact-discrete\n"
                                            "max-size = 600\n"
                                            "tail-tol = 1e-4\n"
-                                           "window = 0.001\n"
                                            "n = 2000\n"
                                            "rate = 0.2\n"
                                            "sweep t = 5,10,25\n");
@@ -203,7 +203,6 @@ TEST(ExperimentSpecFile, ParsesExactDiscreteKeys) {
   EXPECT_TRUE(spec.exact_discrete);
   EXPECT_EQ(spec.exact_max_size, 600);
   EXPECT_DOUBLE_EQ(spec.exact_tail_tol, 1e-4);
-  EXPECT_DOUBLE_EQ(spec.exact_window, 0.001);
   std::remove(path.c_str());
 
   // The other two exact-pairwise flavors route to the continuous model.
@@ -232,7 +231,7 @@ TEST(ExperimentSpecFile, UnknownKeyErrorListsExperimentKeys) {
     const std::string what = err.what();
     EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
     // The augmented vocabulary must name the exact-discrete knobs.
-    for (const char* key : {"exact-pairwise", "max-size", "tail-tol", "window"}) {
+    for (const char* key : {"exact-pairwise", "max-size", "tail-tol"}) {
       EXPECT_NE(what.find(key), std::string::npos) << "missing " << key << ": " << what;
     }
   }
@@ -552,9 +551,83 @@ TEST(EstimatorStage, TcpSeqSmoke) {
   }
 }
 
-// --- scenario_runner shim regression ---------------------------------------
+// --- scenario workloads through the engine ---------------------------------
 
-TEST(ScenarioShim, ExportTraceRoundTrips) {
+TEST(ScenarioExperiment, McModelRunsEndToEnd) {
+  fsim::ExperimentSpec spec;  // model = mc by default
+  spec.duration_s = 10.0;
+  spec.flow_rate_per_s = 40.0;
+  spec.bin_seconds = 5.0;
+  spec.top_t = 3;
+  spec.sampling_rates = {0.2, 0.5};
+  spec.runs = 3;
+  spec.num_threads = 2;
+  CaptureSink sink;
+  ASSERT_EQ(fsim::run_experiment(spec, sink), 4u);  // 2 rates x 2 bins
+  const auto rate_col = column_index(sink, "rate");
+  const auto flows_col = column_index(sink, "flows");
+  const double rates[] = {0.2, 0.2, 0.5, 0.5};
+  for (std::size_t r = 0; r < sink.rows.size(); ++r) {
+    EXPECT_EQ(sink.rows[r][rate_col], fr::Value(rates[r]).text()) << "row " << r;
+    EXPECT_NE(sink.rows[r][flows_col], "0") << "row " << r;
+  }
+  const auto trace = fsim::make_trace_source(spec)->flows();
+  EXPECT_GT(trace.flows.size(), 0u);
+  EXPECT_GT(trace.total_packets(), trace.flows.size());
+}
+
+TEST(ScenarioExperiment, PacketModelMatchesDirectCall) {
+  fsim::ExperimentSpec spec;
+  fsim::apply_experiment_entry(spec, "model", "packet");
+  spec.duration_s = 10.0;
+  spec.flow_rate_per_s = 60.0;
+  spec.trace_seed = 5;
+  spec.bin_seconds = 2.5;
+  spec.top_t = 3;
+  spec.sampling_rates = {0.3};
+  spec.num_shards = 2;
+  CaptureSink sink;
+  ASSERT_EQ(fsim::run_experiment(spec, sink), 4u);
+
+  const auto trace = fsim::make_trace_source(spec)->flows();
+  const auto direct = fsim::run_packet_level_once(
+      trace, 0.3, fsim::make_sim_config(spec), spec.seed, 1);
+  ASSERT_EQ(sink.rows.size(), direct.size());
+  const auto ranking_col = column_index(sink, "ranking_swapped");
+  const auto recall_col = column_index(sink, "recall");
+  for (std::size_t b = 0; b < direct.size(); ++b) {
+    EXPECT_EQ(sink.rows[b][ranking_col], fr::Value(direct[b].ranking_swapped).text());
+    EXPECT_EQ(sink.rows[b][recall_col], fr::Value(direct[b].top_set_recall).text());
+  }
+}
+
+TEST(ScenarioExperiment, FileReplayRunsEndToEnd) {
+  auto trace_cfg = ft::FlowTraceConfig::sprint_5tuple(1.5, 11);
+  trace_cfg.duration_s = 10.0;
+  trace_cfg.flow_rate_per_s = 40.0;
+  const auto trace = ft::generate_flow_trace(trace_cfg);
+  const std::string frt1 = ::testing::TempDir() + "scenario_replay.frt1";
+  ft::save_flow_records(frt1, trace.flows);
+  const std::string scn = write_temp_spec("scenario_replay.scn",
+                                          "name = replay\n"
+                                          "model = packet\n"
+                                          "trace = " + frt1 + "\n"
+                                          "bin = 2.5\n"
+                                          "t = 3\n"
+                                          "rates = 0.5\n"
+                                          "shards = 2\n");
+  const auto spec = fsim::parse_experiment_file(scn);
+  const auto replay = fsim::make_trace_source(spec)->flows();
+  EXPECT_EQ(replay.flows.size(), trace.flows.size());
+  CaptureSink sink;
+  EXPECT_EQ(fsim::run_experiment(spec, sink),
+            ft::bin_count(replay.config.duration_s, spec.bin_seconds));
+  EXPECT_EQ(sink.columns, fsim::experiment_columns(spec));
+  std::remove(frt1.c_str());
+  std::remove(scn.c_str());
+}
+
+TEST(ExportTrace, RoundTripsThroughFileReplay) {
   fsim::ScenarioSpec spec;
   fsim::apply_scenario_entry(spec, "preset", "sprint_5tuple");
   fsim::apply_scenario_entry(spec, "duration", "20");
@@ -661,4 +734,54 @@ TEST(AggregateExperiment, RejectsIncompatibleAxes) {
     fsim::apply_experiment_entry(spec, "estimator", "inversion");
     EXPECT_THROW((void)fsim::run_experiment(spec, sink), std::invalid_argument);
   }
+}
+
+// --- the checked-in specs ---------------------------------------------------
+
+namespace {
+
+std::vector<std::string> checked_in_specs(const std::string& dir,
+                                          const std::string& extension) {
+  std::vector<std::string> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(FLOWRANK_SOURCE_DIR) + "/" + dir)) {
+    if (entry.path().extension() == extension) paths.push_back(entry.path().string());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
+
+}  // namespace
+
+// Every checked-in spec parses through the one experiment grammar — a
+// retired key (e.g. the old `path =`) fails here instead of silently
+// running a default.
+TEST(CheckedInSpecs, EveryScenarioAndFigureSpecParses) {
+  const auto scenarios = checked_in_specs("scenarios", ".scn");
+  const auto figures = checked_in_specs("scenarios/figures", ".spec");
+  EXPECT_FALSE(scenarios.empty());
+  EXPECT_FALSE(figures.empty());
+  for (const auto* paths : {&scenarios, &figures}) {
+    for (const auto& path : *paths) {
+      EXPECT_NO_THROW((void)fsim::parse_experiment_file(path)) << path;
+    }
+  }
+}
+
+// frt1_replay.scn asks for the packet pipeline, so run_experiment must
+// emit packet-model columns, not the mc model's Monte-Carlo columns.
+TEST(CheckedInSpecs, Frt1ReplayRunsThePacketModel) {
+  const std::string root = FLOWRANK_SOURCE_DIR;
+  auto spec = fsim::parse_experiment_file(root + "/scenarios/frt1_replay.scn");
+  EXPECT_EQ(spec.model, fsim::ExperimentModel::kPacket);
+  spec.trace = root + "/" + spec.trace;  // the spec path is repo-relative
+  CaptureSink sink;
+  EXPECT_GT(fsim::run_experiment(spec, sink), 0u);
+  const std::vector<std::string> expected = {"rate", "time_s", "flows",
+                                             "ranking_swapped", "detection_swapped",
+                                             "recall"};
+  EXPECT_EQ(sink.columns, expected);
+  ASSERT_FALSE(sink.spec_echo.empty());
+  EXPECT_EQ(sink.spec_echo.front(), std::make_pair(std::string("model"),
+                                                   std::string("packet")));
 }

@@ -1,8 +1,7 @@
 // Tests for the workload layer: pluggable trace sources (synthetic, FRT1
 // file replay, multi-epoch concatenation), the ON/OFF bursty arrival
 // model, the mixture flow-size distribution, and declarative
-// sim::ScenarioSpec parsing (file + CLI overrides) driving the pipeline
-// end to end with no per-scenario C++.
+// sim::ScenarioSpec parsing (file + CLI overrides).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -245,7 +244,6 @@ TEST(ScenarioSpec, FileParsingAndCliOverrides) {
                                       "bin    = 15    # trailing comment\n"
                                       "rates  = 0.01,0.1\n"
                                       "ties   = lenient\n"
-                                      "path   = packet\n"
                                       "onoff  = on=1,off=4\n"
                                       "definition = prefix24\n");
   auto spec = fsim::parse_scenario_file(path);
@@ -255,16 +253,15 @@ TEST(ScenarioSpec, FileParsingAndCliOverrides) {
   ASSERT_EQ(spec.sampling_rates.size(), 2u);
   EXPECT_DOUBLE_EQ(spec.sampling_rates[1], 0.1);
   EXPECT_EQ(spec.tie_policy, flowrank::metrics::TiePolicy::kLenient);
-  EXPECT_EQ(spec.path, fsim::ExecutionPath::kPacket);
   EXPECT_TRUE(spec.on_off.enabled);
   EXPECT_DOUBLE_EQ(spec.on_off.mean_off_s, 4.0);
   EXPECT_EQ(spec.definition, flowrank::packet::FlowDefinition::kDstPrefix24);
 
-  const char* argv[] = {"test", "--bin", "30", "--path", "count"};
+  const char* argv[] = {"test", "--bin", "30", "--ties", "paper"};
   const flowrank::util::Cli cli(5, argv);
   fsim::apply_scenario_overrides(spec, cli);
   EXPECT_DOUBLE_EQ(spec.bin_seconds, 30.0);
-  EXPECT_EQ(spec.path, fsim::ExecutionPath::kCount);
+  EXPECT_EQ(spec.tie_policy, flowrank::metrics::TiePolicy::kPaper);
   std::remove(path.c_str());
 }
 
@@ -279,6 +276,10 @@ TEST(ScenarioSpec, UnknownKeysAndValuesFailLoudly) {
   const char* argv[] = {"test", "--ties", "strict"};
   const flowrank::util::Cli cli(3, argv);
   EXPECT_THROW(fsim::apply_scenario_overrides(spec, cli), std::invalid_argument);
+  // `model` is the one pipeline knob; the retired `path` key must fail
+  // loudly instead of silently running the default model.
+  EXPECT_THROW(fsim::apply_scenario_entry(spec, "path", "packet"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
@@ -368,13 +369,6 @@ TEST(ScenarioSpec, MonitorKeysParseIntoMonitorOptions) {
                std::invalid_argument);
   EXPECT_THROW(fsim::apply_scenario_entry(s, "fault.unknown", "1"),
                std::invalid_argument);
-
-  // Monitor runs go through the experiment engine / MonitorLoop, not the
-  // batch run_scenario driver.
-  fsim::ScenarioSpec mon;
-  fsim::apply_scenario_entry(mon, "mode", "monitor");
-  mon.sampling_rates = {0.1};
-  EXPECT_THROW((void)fsim::run_scenario(mon), std::invalid_argument);
 }
 
 TEST(ScenarioSpec, ThreadCapValidatedAtParseTime) {
@@ -382,65 +376,6 @@ TEST(ScenarioSpec, ThreadCapValidatedAtParseTime) {
   const char* argv[] = {"test", "--threads", "100000"};
   const flowrank::util::Cli cli(3, argv);
   EXPECT_THROW(fsim::apply_scenario_overrides(spec, cli), std::invalid_argument);
-}
-
-TEST(ScenarioSpec, CountPathRunsEndToEnd) {
-  fsim::ScenarioSpec spec;
-  spec.duration_s = 10.0;
-  spec.flow_rate_per_s = 40.0;
-  spec.bin_seconds = 5.0;
-  spec.top_t = 3;
-  spec.sampling_rates = {0.2, 0.5};
-  spec.runs = 3;
-  spec.num_threads = 2;
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.count.series.size(), 2u);
-  EXPECT_EQ(result.count.series[0].bins.size(), 2u);
-  EXPECT_GT(result.flow_count, 0u);
-  EXPECT_GT(result.packet_count, result.flow_count);
-}
-
-TEST(ScenarioSpec, PacketPathMatchesDirectCall) {
-  fsim::ScenarioSpec spec;
-  spec.duration_s = 10.0;
-  spec.flow_rate_per_s = 60.0;
-  spec.trace_seed = 5;
-  spec.bin_seconds = 2.5;
-  spec.top_t = 3;
-  spec.sampling_rates = {0.3};
-  spec.path = fsim::ExecutionPath::kPacket;
-  spec.num_shards = 2;
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.packet.size(), 1u);
-
-  const auto trace = fsim::make_trace_source(spec)->flows();
-  const auto direct = flowrank::sim::run_packet_level_once(
-      trace, 0.3, fsim::make_sim_config(spec), spec.seed, 1);
-  ASSERT_EQ(result.packet[0].size(), direct.size());
-  for (std::size_t b = 0; b < direct.size(); ++b) {
-    EXPECT_EQ(result.packet[0][b].ranking_swapped, direct[b].ranking_swapped);
-    EXPECT_EQ(result.packet[0][b].top_set_recall, direct[b].top_set_recall);
-  }
-}
-
-TEST(ScenarioSpec, FileReplayScenarioRunsEndToEnd) {
-  const auto trace = ft::generate_flow_trace(tiny_sprint(11));
-  const std::string frt1 = ::testing::TempDir() + "scenario_replay.frt1";
-  ft::save_flow_records(frt1, trace.flows);
-  const std::string scn = write_temp("scenario_replay.scn",
-                                     "name = replay\n"
-                                     "trace = " + frt1 + "\n"
-                                     "path = packet\n"
-                                     "bin = 2.5\n"
-                                     "t = 3\n"
-                                     "rates = 0.5\n"
-                                     "shards = 2\n");
-  const auto spec = fsim::parse_scenario_file(scn);
-  const auto result = fsim::run_scenario(spec);
-  ASSERT_EQ(result.packet.size(), 1u);
-  EXPECT_EQ(result.flow_count, trace.flows.size());
-  std::remove(frt1.c_str());
-  std::remove(scn.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -519,12 +454,8 @@ TEST(ScenarioSpec, AggregateKeysParseIntoAggregateOptions) {
   fsim::apply_scenario_entry(agg_spec, "mode", "monitor");
   EXPECT_TRUE(agg_spec.monitor.enabled);
   EXPECT_FALSE(agg_spec.aggregate.enabled);
-  // Aggregate runs go through the experiment engine / agg::run_fleet,
-  // not the batch driver.
   fsim::apply_scenario_entry(agg_spec, "mode", "aggregate");
   EXPECT_FALSE(agg_spec.monitor.enabled);
-  agg_spec.sampling_rates = {0.1};
-  EXPECT_THROW((void)fsim::run_scenario(agg_spec), std::invalid_argument);
 }
 
 // Satellite: an unknown key names the valid keys for the ACTIVE mode,
@@ -546,6 +477,7 @@ TEST(ScenarioSpec, UnknownKeyHintNamesActiveModeKeys) {
   EXPECT_NE(batch.find("unknown key 'bogus-key'"), std::string::npos) << batch;
   EXPECT_NE(batch.find("mode=batch"), std::string::npos) << batch;
   EXPECT_NE(batch.find("rates"), std::string::npos) << batch;
+  EXPECT_NE(batch.find("churn"), std::string::npos) << batch;
   EXPECT_EQ(batch.find("chan.drop"), std::string::npos) << batch;
   EXPECT_EQ(batch.find("fault.corrupt"), std::string::npos) << batch;
 
@@ -624,27 +556,4 @@ TEST(ScenarioSpec, ChurnTraceKeysParseAndBuildTheSource) {
   fsim::ScenarioSpec bad;
   EXPECT_THROW(fsim::apply_scenario_entry(bad, "churn", "populaton=10"),
                std::invalid_argument);
-}
-
-TEST(ScenarioSpec, SamplerSplitKeyParsesAndReachesSimConfig) {
-  fsim::ScenarioSpec spec;
-  EXPECT_FALSE(spec.sampler_split);  // gated off by default
-  fsim::apply_scenario_entry(spec, "sampler-split", "on");
-  EXPECT_TRUE(spec.sampler_split);
-  EXPECT_TRUE(fsim::make_sim_config(spec).sampler_split);
-  fsim::apply_scenario_entry(spec, "sampler-split", "off");
-  EXPECT_FALSE(spec.sampler_split);
-  EXPECT_FALSE(fsim::make_sim_config(spec).sampler_split);
-  EXPECT_THROW(fsim::apply_scenario_entry(spec, "sampler-split", "maybe"),
-               std::invalid_argument);
-
-  // Both new keys show up in the unknown-key hint for batch mode.
-  try {
-    fsim::apply_scenario_entry(spec, "bogus-key", "1");
-    ADD_FAILURE() << "unknown key accepted";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("churn"), std::string::npos) << what;
-    EXPECT_NE(what.find("sampler-split"), std::string::npos) << what;
-  }
 }

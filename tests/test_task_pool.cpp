@@ -81,8 +81,10 @@ TEST(TaskPool, ParallelForExceptionPropagatesAndPoolSurvives) {
 TEST(TaskPool, ParallelismCapFailsFast) {
   EXPECT_THROW(fex::TaskPool{fex::TaskPool::kMaxParallelism + 1},
                std::invalid_argument);
-  EXPECT_THROW(fex::TaskPool::resolve_parallelism(fex::TaskPool::kMaxParallelism + 1),
-               std::invalid_argument);
+  const auto resolve = [](std::size_t requested) {
+    (void)fex::TaskPool::resolve_parallelism(requested);
+  };
+  EXPECT_THROW(resolve(fex::TaskPool::kMaxParallelism + 1), std::invalid_argument);
   fex::TaskPool pool(1);
   EXPECT_THROW(pool.ensure_workers(fex::TaskPool::kMaxParallelism + 1),
                std::invalid_argument);
