@@ -42,13 +42,14 @@ int list_specs(const std::string& dir) {
   }
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".spec") {
+    const auto ext = entry.path().extension();
+    if (entry.is_regular_file() && (ext == ".spec" || ext == ".scn")) {
       files.push_back(entry.path());
     }
   }
   std::sort(files.begin(), files.end());
   if (files.empty()) {
-    std::cout << "no .spec files in " << dir << "\n";
+    std::cout << "no .spec or .scn files in " << dir << "\n";
     return 0;
   }
   for (const auto& path : files) {

@@ -34,10 +34,12 @@
 #include "flowrank/sampler/packet_sampler.hpp"
 #include "flowrank/sim/binned_sim.hpp"
 #include "flowrank/trace/fault_injection.hpp"
+#include "flowrank/trace/bin_counts.hpp"
 #include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_source.hpp"
 #include "flowrank/util/binomial_sample.hpp"
+#include "flowrank/util/rng.hpp"
 
 namespace {
 
@@ -502,21 +504,61 @@ void BM_SamplerSelectBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SamplerSelectBatch);
 
+// Pulls through next_batch, as the monitor, fleet and packet model do.
 void BM_PacketStreamExpansion(benchmark::State& state) {
   auto cfg = flowrank::trace::FlowTraceConfig::sprint_5tuple(1.5, 3);
   cfg.duration_s = 5.0;
   cfg.flow_rate_per_s = 500.0;
   const auto trace = flowrank::trace::generate_flow_trace(cfg);
+  std::vector<flowrank::packet::PacketRecord> batch;
   for (auto _ : state) {
     flowrank::trace::PacketStream stream(trace);
     std::uint64_t n = 0;
-    while (stream.next()) ++n;
+    while (const std::size_t got = stream.next_batch(batch, 4096)) n += got;
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.total_packets()));
 }
 BENCHMARK(BM_PacketStreamExpansion)->Unit(benchmark::kMillisecond);
+
+// The per-item RNG pattern of packet placement and bin_flow_counts: a
+// fresh engine per flow that reads a handful of words.
+void BM_EngineShortStream(benchmark::State& state) {
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    auto engine = flowrank::util::make_engine(42, stream++);
+    std::uint64_t acc = 0;
+    for (int i = 0; i < 8; ++i) acc ^= engine();
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_EngineShortStream);
+
+// One long-lived engine (samplers, trace generation): raw draw rate.
+void BM_EngineLongStream(benchmark::State& state) {
+  auto engine = flowrank::util::make_engine(42);
+  for (auto _ : state) benchmark::DoNotOptimize(engine());
+}
+BENCHMARK(BM_EngineLongStream);
+
+// bin_flow_counts on the mc_abilene perfbench trace (Abilene preset,
+// 120 s at 1/8 of its flow rate, 60 s bins).
+void BM_BinFlowCounts(benchmark::State& state) {
+  auto cfg = flowrank::trace::FlowTraceConfig::abilene(7);
+  cfg.duration_s = 120.0;
+  cfg.flow_rate_per_s *= 0.125;
+  const auto trace = flowrank::trace::generate_flow_trace(cfg);
+  std::uint64_t placement_seed = 0;
+  for (auto _ : state) {
+    const auto counts = flowrank::trace::bin_flow_counts(
+        trace, 60.0, flowrank::packet::FlowDefinition::kFiveTuple, placement_seed++);
+    benchmark::DoNotOptimize(counts.bins.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.flows.size()));
+}
+BENCHMARK(BM_BinFlowCounts)->Unit(benchmark::kMillisecond);
 
 void BM_RankMetrics(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -7,7 +7,8 @@ compiler cannot see because they are project policy, not C++ rules:
 
  * no nondeterministic or implementation-defined randomness
    (std::random_device, rand()/srand(), std::binomial_distribution,
-   wall-clock seeding) anywhere in src/flowrank/;
+   wall-clock seeding) anywhere in src/flowrank/, and no raw
+   std::mt19937 beside util::Engine;
  * threads are created only by the exec layer (one concurrency
    substrate; everything else submits tasks);
  * errors leave the library as the flowrank::Error taxonomy, never as
@@ -64,6 +65,14 @@ BANNED = [
         "std-binomial-distribution",
         re.compile(r"std::binomial_distribution"),
         "std::binomial_distribution's stream is implementation-defined; use util::binomial_sample",
+    ),
+    (
+        "raw-mt19937",
+        # util::Engine is std::mt19937_64's exact stream, seeded and
+        # twisted on demand; a raw std engine would reintroduce the full
+        # 312-word seed-and-twist per construction.
+        re.compile(r"std::(?:mt19937(?:_64)?|mersenne_twister_engine)\b"),
+        "construct engines with util::make_engine (util::Engine), not a raw std::mt19937",
     ),
     (
         "wallclock-seed",
@@ -127,6 +136,8 @@ ALLOWLIST = {
     "raw-sync": ("src/flowrank/util/sync.hpp",),
     # sync.hpp's own capability classes are the annotation vocabulary.
     "guarded-by-missing": ("src/flowrank/util/sync.hpp",),
+    # rng.hpp defines util::Engine, the one MT19937-64 in the library.
+    "raw-mt19937": ("src/flowrank/util/rng.hpp",),
     # special.cpp wraps lgamma_r exactly once (and documents why).
     "lgamma-signgam": ("src/flowrank/numeric/special.cpp",),
     # bytes.hpp IS the sanctioned byte layer: its stream read/write pair

@@ -503,14 +503,6 @@ void parse_spec_file(
   }
 }
 
-ScenarioSpec parse_scenario_file(const std::string& path) {
-  ScenarioSpec spec;
-  parse_spec_file(path, [&spec](const std::string& key, const std::string& value) {
-    apply_entry(spec, key, value);
-  });
-  return spec;
-}
-
 void apply_scenario_overrides(ScenarioSpec& spec, const util::Cli& cli) {
   for (const std::string& key : scenario_keys()) {
     if (cli.has(key)) apply_entry(spec, key, cli.get_string(key, ""));

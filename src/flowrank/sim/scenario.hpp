@@ -187,15 +187,11 @@ struct ScenarioSpec {
 /// per entry. Handles '#' comments (at line start or after whitespace; a
 /// '#' embedded in a token is part of the value) and rethrows entry
 /// errors as flowrank::Error(kSpec) tagged "path:line" and naming the
-/// offending key. Shared by the scenario and experiment
-/// (sim/experiment.hpp) parsers.
+/// offending key. parse_experiment_file (sim/experiment.hpp) reads every
+/// spec file, .scn and .spec alike, through it.
 void parse_spec_file(
     const std::string& path,
     const std::function<void(const std::string&, const std::string&)>& entry);
-
-/// Parses a key=value scenario file. Unknown keys throw (typos in
-/// experiment configs fail loudly, matching util::Cli).
-[[nodiscard]] ScenarioSpec parse_scenario_file(const std::string& path);
 
 /// Every valid spec key (the `--key` override names), sorted.
 [[nodiscard]] const std::vector<std::string>& scenario_keys();

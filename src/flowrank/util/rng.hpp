@@ -6,6 +6,7 @@
 // reproducible from a single 64-bit seed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <random>
 
@@ -54,9 +55,98 @@ namespace flowrank::util {
   return mix_stream(mix_stream(a, b), c);
 }
 
-/// Engine used across the library. mt19937_64 is deterministic across
-/// platforms, which matters for golden-value tests.
-using Engine = std::mt19937_64;
+/// Engine used across the library: MT19937-64 (Matsumoto & Nishimura),
+/// bit-identical to std::mt19937_64 for every seed and draw count, so
+/// golden values are the standard engine's and hold on every platform.
+///
+/// std::mt19937_64 seeds all 312 state words and twists all of them
+/// before its first output; a flow that then reads ten words paid for
+/// 624. This engine does both on demand during its first 312 draws:
+/// output j twists word j in place from words j, j+1 and j+156 (mod 312)
+/// -- the block twist done one word at a time, in the same order, so even
+/// the wrap at word 311 (which reads the already-twisted word 0) matches
+/// -- and the seeding recurrence runs only as far as word j+156 needs
+/// it. A seed plus k draws costs about 157 + k steps instead of 624 + k.
+/// From the second lap on it block-twists like the std engine, so long
+/// streams cost the same.
+///
+/// The std distributions read a URBG only through min(), max() and
+/// operator(), so the same raw stream gives the same variates.
+class Engine {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Engine(result_type seed = 5489u) noexcept { state_[0] = seed; }
+
+  [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+  [[nodiscard]] static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+  result_type operator()() noexcept {
+    if (index_ >= twisted_) [[unlikely]] twist_next();
+    result_type x = state_[index_++];
+    x ^= (x >> 29) & 0x5555555555555555ULL;
+    x ^= (x << 17) & 0x71D67FFFEDA60000ULL;
+    x ^= (x << 37) & 0xFFF7EEE000000000ULL;
+    return x ^ (x >> 43);
+  }
+
+ private:
+  static constexpr std::uint32_t kWords = 312;
+  static constexpr std::uint32_t kShift = 156;
+
+  /// One word of the MT19937-64 twist.
+  static constexpr result_type twist(result_type word, result_type next,
+                                     result_type shifted) noexcept {
+    constexpr result_type kUpperMask = ~result_type{0} << 31;
+    const result_type y = (word & kUpperMask) | (next & ~kUpperMask);
+    return shifted ^ (y >> 1) ^ ((y & 1u) ? 0xB5026F5AA96619E9ULL : 0u);
+  }
+
+  /// Twists the word index_ is about to read: one word at a time (seeding
+  /// as far as it needs) in the first lap, all 312 at a lap boundary after.
+  void twist_next() noexcept {
+    if (index_ == kWords) {
+      twist_block();
+      return;
+    }
+    const std::uint32_t i = index_;
+    if (seeded_ < kWords) {
+      // Locals keep the serial seeding chain in registers.
+      const std::uint32_t words = i + kShift + 1 < kWords ? i + kShift + 1 : kWords;
+      std::uint32_t w = seeded_;
+      result_type prev = state_[w - 1];
+      for (; w < words; ++w) {
+        prev = 6364136223846793005ULL * (prev ^ (prev >> 62)) + w;
+        state_[w] = prev;
+      }
+      seeded_ = w;
+    }
+    const std::uint32_t next = i + 1 == kWords ? 0 : i + 1;
+    state_[i] = twist(state_[i], state_[next], state_[i < kShift ? i + kShift : i - kShift]);
+    twisted_ = i + 1;
+  }
+
+  /// Later laps: the std engine's block twist of all 312 words.
+  void twist_block() noexcept {
+    std::uint32_t k = 0;
+    for (; k < kWords - kShift; ++k) {
+      state_[k] = twist(state_[k], state_[k + 1], state_[k + kShift]);
+    }
+    for (; k < kWords - 1; ++k) {
+      state_[k] = twist(state_[k], state_[k + 1], state_[k - (kWords - kShift)]);
+    }
+    state_[kWords - 1] = twist(state_[kWords - 1], state_[0], state_[kShift - 1]);
+    index_ = 0;
+  }
+
+  // Words at and past seeded_ are not yet written; nothing reads them
+  // before twist_next() seeds them. The cursors are 32-bit so that
+  // stores to state_ cannot alias them.
+  std::array<result_type, kWords> state_;
+  std::uint32_t seeded_ = 1;   ///< init words written (first lap only)
+  std::uint32_t twisted_ = 0;  ///< words [0, twisted_) hold this lap's output
+  std::uint32_t index_ = 0;    ///< next word to output
+};
 
 /// Makes an engine for (master seed, stream id).
 [[nodiscard]] inline Engine make_engine(std::uint64_t master,

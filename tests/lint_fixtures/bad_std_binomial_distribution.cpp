@@ -1,7 +1,9 @@
 // Fixture: trips exactly [std-binomial-distribution].
 #include <random>
 
-unsigned long split(std::mt19937_64& engine) {
+#include "flowrank/util/rng.hpp"
+
+unsigned long split(flowrank::util::Engine& engine) {
   std::binomial_distribution<unsigned long> dist(100, 0.5);
   return dist(engine);
 }

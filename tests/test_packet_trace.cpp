@@ -1,8 +1,10 @@
 // Tests for flow keys, trace generation, packet expansion, bin counts and
 // trace I/O.
 #include <cmath>
+#include <cstdio>
 #include <set>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "flowrank/trace/flow_trace_generator.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_io.hpp"
+#include "flowrank/trace/trace_source.hpp"
 
 namespace fp = flowrank::packet;
 namespace ft = flowrank::trace;
@@ -214,6 +217,91 @@ TEST(PacketStream, DeterministicPlacement) {
   EXPECT_TRUE(any_difference);  // different placement seed shifts packets
 }
 
+TEST(PacketStream, ZeroPacketFlowsEmitNothing) {
+  ft::FlowTrace trace;
+  trace.config.duration_s = 10.0;
+  fp::FlowRecord empty;
+  empty.tuple = fp::FiveTuple{1, 2, 3, 4, fp::Protocol::kTcp};
+  empty.start_s = 1.0;
+  empty.duration_s = 2.0;
+  empty.packets = 0;
+  fp::FlowRecord full = empty;
+  full.tuple.src_ip = 9;
+  full.start_s = 1.5;
+  full.packets = 5;
+  trace.flows = {empty, full};
+  const auto packets = ft::expand_trace(trace);
+  EXPECT_EQ(packets.size(), trace.total_packets());
+  for (const auto& p : packets) EXPECT_EQ(p.tuple.src_ip, 9u);
+  // A trace of only zero-packet flows is an empty stream.
+  trace.flows = {empty, empty};
+  ft::PacketStream stream(trace);
+  EXPECT_FALSE(stream.next().has_value());
+}
+
+TEST(PacketStream, RejectsFlowsNotSortedByStart) {
+  ft::FlowTrace trace;
+  trace.config.duration_s = 10.0;
+  fp::FlowRecord a;
+  a.start_s = 2.0;
+  a.packets = 1;
+  fp::FlowRecord b = a;
+  b.start_s = 1.0;
+  trace.flows = {a, b};
+  EXPECT_THROW(ft::PacketStream{trace}, std::invalid_argument);
+}
+
+namespace {
+
+bool same_packet(const fp::PacketRecord& a, const fp::PacketRecord& b) {
+  return a.timestamp_ns == b.timestamp_ns && a.tuple.src_ip == b.tuple.src_ip &&
+         a.tuple.dst_ip == b.tuple.dst_ip && a.tuple.src_port == b.tuple.src_port &&
+         a.tuple.dst_port == b.tuple.dst_port && a.tuple.protocol == b.tuple.protocol &&
+         a.size_bytes == b.size_bytes && a.tcp_seq == b.tcp_seq;
+}
+
+}  // namespace
+
+TEST(PacketStream, MixedNextAndNextBatchMatchEitherAlone) {
+  auto cfg = small_sprint(/*duration_s=*/15.0, /*seed=*/8);
+  cfg.size_dist = ft::FlowTraceConfig::sprint_5tuple(1.1).size_dist;
+  const auto trace = ft::generate_flow_trace(cfg);
+
+  const auto by_next = ft::expand_trace(trace, /*seed=*/3);
+  ASSERT_EQ(by_next.size(), trace.total_packets());
+
+  std::vector<fp::PacketRecord> by_batch, mixed, chunk;
+  {
+    ft::PacketStream stream(trace, /*seed=*/3);
+    while (stream.next_batch(chunk, 37) > 0) {
+      by_batch.insert(by_batch.end(), chunk.begin(), chunk.end());
+    }
+    EXPECT_EQ(stream.next_batch(chunk, 37), 0u);
+    EXPECT_TRUE(chunk.empty());
+    EXPECT_EQ(stream.emitted(), trace.total_packets());
+  }
+  {
+    ft::PacketStream stream(trace, /*seed=*/3);
+    const std::size_t sizes[] = {1, 0, 250, 3, 4096, 17};
+    for (std::size_t round = 0;; ++round) {
+      if (round % 2 == 0) {
+        auto pkt = stream.next();
+        if (!pkt) break;
+        mixed.push_back(*pkt);
+      } else if (stream.next_batch(chunk, sizes[round % 6]) > 0) {
+        mixed.insert(mixed.end(), chunk.begin(), chunk.end());
+      }
+    }
+    EXPECT_EQ(stream.emitted(), trace.total_packets());
+  }
+  ASSERT_EQ(by_batch.size(), by_next.size());
+  ASSERT_EQ(mixed.size(), by_next.size());
+  for (std::size_t i = 0; i < by_next.size(); ++i) {
+    ASSERT_TRUE(same_packet(by_batch[i], by_next[i])) << "packet " << i;
+    ASSERT_TRUE(same_packet(mixed[i], by_next[i])) << "packet " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Bin counts (the fast path) vs packet expansion (ground truth)
 // ---------------------------------------------------------------------------
@@ -401,4 +489,156 @@ TEST(FlowChurnTrace, InvalidConfigThrows) {
   expect_throw([](ft::FlowChurnConfig& c) { c.mean_packets = 0.5; });
   expect_throw([](ft::FlowChurnConfig& c) { c.mean_duration_s = 0.0; });
   expect_throw([](ft::FlowChurnConfig& c) { c.tcp_fraction = 1.5; });
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: packet expansion and bin counts are pinned bit for bit,
+// so a faster packet source or RNG engine must reproduce every timestamp,
+// tuple, sequence number and binomial split of the reference output.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void fnv_mix(std::uint64_t& h, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xFFu;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+std::string hex(std::uint64_t value) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string packet_digest(const std::vector<fp::PacketRecord>& packets) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto& p : packets) {
+    fnv_mix(h, static_cast<std::uint64_t>(p.timestamp_ns));
+    fnv_mix(h, (static_cast<std::uint64_t>(p.tuple.src_ip) << 32) | p.tuple.dst_ip);
+    fnv_mix(h, (static_cast<std::uint64_t>(p.tuple.src_port) << 32) |
+                   (static_cast<std::uint64_t>(p.tuple.dst_port) << 8) |
+                   static_cast<std::uint64_t>(p.tuple.protocol));
+    fnv_mix(h, (static_cast<std::uint64_t>(p.size_bytes) << 32) | p.tcp_seq);
+  }
+  return hex(h);
+}
+
+std::string bin_digest(const ft::BinnedCounts& counts) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t b = 0; b < counts.bins.size(); ++b) {
+    fnv_mix(h, b);
+    fnv_mix(h, counts.bins[b].size());
+    for (const auto& f : counts.bins[b]) {
+      fnv_mix(h, f.key.hi);
+      fnv_mix(h, f.key.lo);
+      fnv_mix(h, f.packets);
+    }
+  }
+  return hex(h);
+}
+
+fp::FlowRecord hand_flow(std::uint32_t id, double start_s, double duration_s,
+                         std::uint64_t packets, fp::Protocol protocol = fp::Protocol::kTcp) {
+  fp::FlowRecord flow;
+  flow.tuple = fp::FiveTuple{0x0A000000u + id, 0xC0A80000u + id,
+                             static_cast<std::uint16_t>(1000 + id), 80, protocol};
+  flow.start_s = start_s;
+  flow.duration_s = duration_s;
+  flow.packets = packets;
+  flow.bytes = packets * 500;
+  return flow;
+}
+
+// Cross-flow timestamp ties, a zero-duration multi-packet flow, sub-ns
+// durations, a slice-straddling flow, long flows and a first flow that
+// starts late.
+ft::FlowTrace edge_case_trace() {
+  ft::FlowTrace trace;
+  trace.config.duration_s = 300.0;
+  trace.config.seed = 17;
+  trace.flows = {
+      hand_flow(0, 37.5, 0.0, 1),
+      hand_flow(1, 37.5, 0.0, 1, fp::Protocol::kUdp),
+      hand_flow(2, 37.5, 0.0, 6),
+      hand_flow(3, 37.505, 0.02, 40),
+      hand_flow(4, 38.0, 250.0, 400),
+      hand_flow(5, 38.0, 1e-9, 3),
+      hand_flow(6, 39.99999999, 0.01, 5, fp::Protocol::kUdp),
+      hand_flow(7, 120.0, 3000.0, 2),
+  };
+  return trace;
+}
+
+// Flows that start before time zero: slices must floor-divide.
+ft::FlowTrace negative_start_trace() {
+  ft::FlowTrace trace;
+  trace.config.duration_s = 5.0;
+  trace.config.seed = 23;
+  trace.flows = {
+      hand_flow(0, -2.5, 3.0, 10),
+      hand_flow(1, -0.015, 0.02, 4),
+      hand_flow(2, -0.01, 0.0, 1),
+      hand_flow(3, 0.0, 0.5, 7),
+  };
+  return trace;
+}
+
+}  // namespace
+
+TEST(GoldenDigest, SmallSprintAtTwoPlacementSeeds) {
+  const auto trace = ft::generate_flow_trace(small_sprint());
+  EXPECT_EQ(packet_digest(ft::expand_trace(trace, 0)), "e5c7037b7d38d771");
+  EXPECT_EQ(packet_digest(ft::expand_trace(trace, 5)), "402c09c82405fd05");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(trace, 5.0, fp::FlowDefinition::kFiveTuple, 0)),
+            "e9ac2e5854d83062");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(trace, 5.0, fp::FlowDefinition::kFiveTuple, 5)),
+            "b03a11777f1e5c4b");
+}
+
+TEST(GoldenDigest, HeavyTailFlowsDrawPastOneTwistBlock) {
+  auto cfg = small_sprint(/*duration_s=*/20.0, /*seed=*/4);
+  cfg.size_dist = ft::FlowTraceConfig::sprint_5tuple(1.1).size_dist;
+  const auto trace = ft::generate_flow_trace(cfg);
+  std::size_t over_156 = 0, over_624 = 0;
+  for (const auto& f : trace.flows) {
+    over_156 += f.packets > 156;
+    over_624 += f.packets > 624;
+  }
+  ASSERT_GE(over_156, 5u);
+  ASSERT_GE(over_624, 1u);
+  EXPECT_EQ(packet_digest(ft::expand_trace(trace)), "8bef604bc5d39a4b");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(trace, 1.0, fp::FlowDefinition::kFiveTuple)),
+            "d4ce9c0f64e8ce92");
+}
+
+TEST(GoldenDigest, FlowChurnTrace) {
+  const auto trace = ft::FlowChurnTraceSource(small_churn()).flows();
+  EXPECT_EQ(packet_digest(ft::expand_trace(trace)), "be7990d20305bde1");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(trace, 2.0, fp::FlowDefinition::kFiveTuple)),
+            "e1842008eec7f02c");
+}
+
+TEST(GoldenDigest, CheckedInFrt1Replay) {
+  const ft::FileTraceSource source(std::string(FLOWRANK_SOURCE_DIR) +
+                                   "/scenarios/tiny_sprint.frt1");
+  const auto trace = source.flows();
+  ASSERT_FALSE(trace.flows.empty());
+  EXPECT_EQ(packet_digest(ft::expand_trace(trace)), "4a21c99383b18d0f");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(trace, 4.0, fp::FlowDefinition::kDstPrefix24)),
+            "d2fc5d5d4c655fa8");
+}
+
+TEST(GoldenDigest, HandBuiltEdgeCases) {
+  const auto edges = edge_case_trace();
+  EXPECT_EQ(packet_digest(ft::expand_trace(edges)), "12d49247ae99e752");
+  EXPECT_EQ(packet_digest(ft::expand_trace(edges, 9)), "47eba99b92c0b23e");
+  EXPECT_EQ(bin_digest(ft::bin_flow_counts(edges, 10.0, fp::FlowDefinition::kFiveTuple)),
+            "745bab19febfddcb");
+  const auto negative = negative_start_trace();
+  const auto packets = ft::expand_trace(negative);
+  ASSERT_EQ(packets.size(), negative.total_packets());
+  EXPECT_LT(packets.front().timestamp_ns, 0);
+  EXPECT_EQ(packet_digest(packets), "ca097bc7d8498980");
 }

@@ -13,6 +13,7 @@
 
 #include "flowrank/dist/mixture.hpp"
 #include "flowrank/dist/pareto.hpp"
+#include "flowrank/sim/experiment.hpp"
 #include "flowrank/sim/scenario.hpp"
 #include "flowrank/trace/packet_stream.hpp"
 #include "flowrank/trace/trace_io.hpp"
@@ -246,7 +247,7 @@ TEST(ScenarioSpec, FileParsingAndCliOverrides) {
                                       "ties   = lenient\n"
                                       "onoff  = on=1,off=4\n"
                                       "definition = prefix24\n");
-  auto spec = fsim::parse_scenario_file(path);
+  auto spec = fsim::parse_experiment_file(path);
   EXPECT_EQ(spec.name, "parse test");
   EXPECT_EQ(spec.preset, "abilene");
   EXPECT_DOUBLE_EQ(spec.bin_seconds, 15.0);
@@ -268,7 +269,7 @@ TEST(ScenarioSpec, FileParsingAndCliOverrides) {
 TEST(ScenarioSpec, UnknownKeysAndValuesFailLoudly) {
   const std::string path =
       write_temp("scenario_bad_key.scn", "not_a_key = 1\n");
-  EXPECT_THROW((void)fsim::parse_scenario_file(path), std::runtime_error);
+  EXPECT_THROW((void)fsim::parse_experiment_file(path), std::runtime_error);
   std::remove(path.c_str());
   ft::FlowTraceConfig cfg;  // silence unused-include warnings
   (void)cfg;
@@ -287,7 +288,7 @@ TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
   const std::string path = write_temp(
       "scenario_bad_line.scn", "name = x\nbin = 10\nrates = nope\n");
   try {
-    (void)fsim::parse_scenario_file(path);
+    (void)fsim::parse_experiment_file(path);
     FAIL() << "expected flowrank::Error(kSpec)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
@@ -301,7 +302,7 @@ TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
   const std::string path2 =
       write_temp("scenario_no_eq.scn", "name = x\njust words\n");
   try {
-    (void)fsim::parse_scenario_file(path2);
+    (void)fsim::parse_experiment_file(path2);
     FAIL() << "expected flowrank::Error(kSpec)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kSpec);
@@ -311,7 +312,7 @@ TEST(ScenarioSpec, ParseErrorsReportFileLineAndKey) {
 
   // A missing file is an io error, not a spec error.
   try {
-    (void)fsim::parse_scenario_file("/nonexistent/definitely_missing.scn");
+    (void)fsim::parse_experiment_file("/nonexistent/definitely_missing.scn");
     FAIL() << "expected flowrank::Error(kIo)";
   } catch (const flowrank::Error& e) {
     EXPECT_EQ(e.category(), flowrank::ErrorCategory::kIo);
@@ -336,7 +337,7 @@ TEST(ScenarioSpec, MonitorKeysParseIntoMonitorOptions) {
                                       "fault.burst-every = 45\n"
                                       "fault.burst-duration = 0.5\n"
                                       "fault.seed = 7\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
 
   EXPECT_TRUE(spec.monitor.enabled);
@@ -402,7 +403,7 @@ TEST(ScenarioSpec, AggregateKeysParseIntoAggregateOptions) {
                                       "chan.outage-from = 5\n"
                                       "chan.outage-windows = 3\n"
                                       "chan.seed = 99\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
 
   EXPECT_TRUE(spec.aggregate.enabled);
@@ -536,7 +537,7 @@ TEST(ScenarioSpec, ChurnTraceKeysParseAndBuildTheSource) {
       "churn = population=200,rate=25,packets=8,flow-duration=0.5,tcp=0.8\n"
       "duration = 10\n"
       "rates = 0.1\n");
-  const fsim::ScenarioSpec spec = fsim::parse_scenario_file(path);
+  const fsim::ExperimentSpec spec = fsim::parse_experiment_file(path);
   std::remove(path.c_str());
   EXPECT_EQ(spec.trace, "churn");
   EXPECT_EQ(spec.churn.population, 200u);

@@ -2,6 +2,7 @@
 // table formatting, CLI parsing.
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -73,6 +74,50 @@ TEST(Rng, EnginesReproduce) {
   auto e1 = fu::make_engine(7, 3);
   auto e2 = fu::make_engine(7, 3);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(e1(), e2());
+}
+
+// util::Engine seeds and twists on demand but must be std::mt19937_64
+// draw for draw: around the end of on-demand seeding (155/156/157), the
+// end of the first twist block (311/312/313) and the second (623/624/625).
+TEST(Rng, EngineMatchesStdMt19937_64DrawForDraw) {
+  const std::size_t counts[] = {0,   1,   2,   8,   155, 156, 157, 311,
+                                312, 313, 623, 624, 625, 1000, 2000};
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const std::uint64_t seed = i < 4 ? i : fu::derive_seed(0xE5u, i);
+    for (const std::size_t draws : counts) {
+      fu::Engine engine(seed);
+      std::mt19937_64 reference(seed);
+      for (std::size_t d = 0; d < draws; ++d) {
+        ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << d;
+      }
+    }
+  }
+  // One long stream, and the URBG surface the std distributions read.
+  auto engine = fu::make_engine(11, 2);
+  std::mt19937_64 reference(fu::derive_seed(11, 2));
+  for (int d = 0; d < 100000; ++d) ASSERT_EQ(engine(), reference()) << "draw " << d;
+  EXPECT_EQ(fu::Engine::min(), std::mt19937_64::min());
+  EXPECT_EQ(fu::Engine::max(), std::mt19937_64::max());
+  EXPECT_EQ(fu::Engine{}(), std::mt19937_64{}());
+  std::uniform_real_distribution<double> unif(0.0, 3.0);
+  std::exponential_distribution<double> expo(2.0);
+  std::uniform_int_distribution<std::uint16_t> port;
+  for (int d = 0; d < 1000; ++d) {
+    ASSERT_EQ(unif(engine), unif(reference));
+    ASSERT_EQ(expo(engine), expo(reference));
+    ASSERT_EQ(port(engine), port(reference));
+  }
+  // Copies carry the partly seeded state and continue the same stream.
+  fu::Engine fresh(99);
+  (void)fresh();
+  fu::Engine copy = fresh;
+  std::mt19937_64 ref99(99);
+  (void)ref99();
+  for (int d = 0; d < 400; ++d) {
+    const auto expected = ref99();
+    ASSERT_EQ(fresh(), expected);
+    ASSERT_EQ(copy(), expected);
+  }
 }
 
 TEST(Table, AlignedOutput) {
